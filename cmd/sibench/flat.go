@@ -6,74 +6,69 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/query"
-	"repro/internal/relation"
-	"repro/internal/shard"
-	"repro/internal/store"
 	"repro/internal/workload"
 )
 
-// flatBench is the commit-flatness gate: the write-path analogue of the
+// flat is the commit-flatness scenario: the write-path analogue of the
 // "reads independent of |D|" guarantee the paper gives queries. It replays
 // the same-shape mixed commit stream (randomized inserts/deletes through
 // Engine.Commit, live Q2 watchers attached) at a small and a large
 // instance — |D| ≈ 30k and |D| ≈ 150k on the default workload — and
 // compares the median commit wall latency. With O(1) swap-remove deletion
 // the cost of a commit depends on |ΔD| and the maintenance bounds, not on
-// |D|, so the medians must stay within flat-ratio of each other; the run
-// exits nonzero when they do not. Maintenance reads per commit are printed
-// at both scales as a cross-check that flatness was not bought by reading
-// more.
+// |D|. Maintenance reads per commit are printed at both scales as a
+// cross-check that flatness was not bought by reading more.
 //
 // Medians are computed exactly from the recorded latency slice — the
 // exporter histogram's bucket resolution (~19%) is too coarse to gate a
 // ratio on. p99 is reported for context but not gated: tail latencies on a
 // shared box are scheduler noise, the median is the signal.
-func flatBench(quick bool, shards int, maxRatio float64) error {
-	commits := 800
-	watchers := 16
+func flat(quick bool) ([]*bench.Table, error) {
+	commits, watchers := 800, 16
 	if quick {
 		commits = 250
 	}
-	small, err := flatRun(2000, commits, watchers, shards)
-	if err != nil {
-		return fmt.Errorf("small instance: %w", err)
+	t := bench.NewTable("flat",
+		fmt.Sprintf("commit flatness (%s backend): %d mixed commits, %d live Q2 watchers, per instance size",
+			backendName(*shards), commits, watchers),
+		"|D|", "p50", "p90", "p99", "maint reads/commit")
+	var runs []flatResult
+	for _, persons := range []int{2000, 10000} {
+		r, err := flatRun(persons, commits, watchers)
+		if err != nil {
+			return nil, fmt.Errorf("%d persons: %w", persons, err)
+		}
+		runs = append(runs, r)
+		t.Row(r.size, r.p50, r.p90, r.p99, r.maintPerCommit)
 	}
-	large, err := flatRun(10000, commits, watchers, shards)
-	if err != nil {
-		return fmt.Errorf("large instance: %w", err)
-	}
+	small, large := runs[0], runs[1]
+	t.Notes = fmt.Sprintf("p50 ratio (|D|=%d vs |D|=%d): %.2fx (gate: ≤ %.2fx, or large p50 ≤ %s).",
+		large.size, small.size, float64(large.p50)/float64(small.p50), flatMaxRatio, flatFloor)
+	return []*bench.Table{t}, flatVerdict(small.p50, large.p50)
+}
 
-	backend := "single-node"
-	if shards > 0 {
-		backend = fmt.Sprintf("%d-shard", shards)
-	}
-	fmt.Printf("commit flatness (%s backend): %d mixed commits, %d live Q2 watchers, per instance size\n\n",
-		backend, commits, watchers)
-	fmt.Printf("%-12s %12s %12s %12s %16s\n", "|D|", "p50", "p90", "p99", "maint reads/ci")
-	for _, r := range []flatResult{small, large} {
-		fmt.Printf("%-12d %12s %12s %12s %16.1f\n",
-			r.size,
-			r.p50.Round(time.Microsecond), r.p90.Round(time.Microsecond), r.p99.Round(time.Microsecond),
-			r.maintPerCommit)
-	}
-	ratio := float64(large.p50) / float64(small.p50)
-	fmt.Printf("\np50 ratio (|D|=%d vs |D|=%d): %.2fx (gate: ≤ %.2fx)\n", large.size, small.size, ratio, maxRatio)
+// The flat gate's thresholds.
+const (
+	flatMaxRatio = 2.0
+	// flatFloor: a large-instance median at or below it is flat in
+	// absolute terms. The ratio is then dominated by fixed per-commit
+	// overhead and timer noise, not by any |D|-dependent term.
+	flatFloor = 500 * time.Microsecond
+)
 
-	// Escape hatch: when the large instance's median is already tiny in
-	// absolute terms, the ratio is dominated by fixed per-commit overhead
-	// and timer noise, not by any |D|-dependent term.
-	if large.p50 <= 500*time.Microsecond {
-		fmt.Printf("large-instance p50 %s ≤ 500µs: flat in absolute terms, ratio not gated\n", large.p50.Round(time.Microsecond))
+// flatVerdict is the flat gate: the large instance's commit p50 may be at
+// most flatMaxRatio times the small one's, unless it is within flatFloor.
+func flatVerdict(smallP50, largeP50 time.Duration) error {
+	if largeP50 <= flatFloor {
 		return nil
 	}
-	if ratio > maxRatio {
-		return fmt.Errorf("commit p50 grew %.2fx from |D|=%d to |D|=%d (gate %.2fx): write latency is not flat",
-			ratio, small.size, large.size, maxRatio)
+	if ratio := float64(largeP50) / float64(smallP50); ratio > flatMaxRatio {
+		return fmt.Errorf("commit p50 grew %.2fx from the small to the large instance (gate %.2fx): write latency is not flat",
+			ratio, flatMaxRatio)
 	}
-	fmt.Printf("commit latency is flat: a %.1fx larger instance pays %.2fx at the median\n",
-		float64(large.size)/float64(small.size), ratio)
 	return nil
 }
 
@@ -87,30 +82,14 @@ type flatResult struct {
 // flatRun replays the mixed commit stream against a fresh instance with
 // `persons` entities and returns exact latency quantiles over the
 // per-commit wall times.
-func flatRun(persons, commits, watchers, shards int) (flatResult, error) {
-	cfg := workload.DefaultConfig()
-	cfg.Persons = persons
-	cfg.Seed = 7
-	db, err := workload.Generate(cfg)
+func flatRun(persons, commits, watchers int) (flatResult, error) {
+	s, err := openSocial(persons, *shards)
 	if err != nil {
 		return flatResult{}, err
 	}
-	var hot []int64
-	for i := 0; i < watchers; i++ {
-		hot = append(hot, int64((i*7)%persons))
-	}
-	stream := workload.MixedCommits(db, cfg, commits, hot, 99)
-
-	var st store.Backend
-	if shards > 0 {
-		st, err = shard.Open(db, workload.Access(cfg), shards)
-	} else {
-		st, err = store.Open(db, workload.Access(cfg))
-	}
-	if err != nil {
-		return flatResult{}, err
-	}
-	eng := core.NewEngine(st)
+	hot := s.hotPersons(watchers)
+	stream := s.commitStream(commits, hot)
+	eng := core.NewEngine(s.st)
 	q, err := parseServing(workload.Q2Src)
 	if err != nil {
 		return flatResult{}, err
@@ -121,7 +100,7 @@ func flatRun(persons, commits, watchers, shards int) (flatResult, error) {
 	}
 	ctx := context.Background()
 	for _, p := range hot {
-		l, err := prep.Watch(ctx, query.Bindings{"p": relation.Int(p)})
+		l, err := prep.Watch(ctx, bindP(p))
 		if err != nil {
 			return flatResult{}, fmt.Errorf("watch p=%d: %w", p, err)
 		}
@@ -142,7 +121,7 @@ func flatRun(persons, commits, watchers, shards int) (flatResult, error) {
 	}
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	return flatResult{
-		size:           st.Size(),
+		size:           s.st.Size(),
 		p50:            exactQuantile(lats, 0.50),
 		p90:            exactQuantile(lats, 0.90),
 		p99:            exactQuantile(lats, 0.99),

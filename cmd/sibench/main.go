@@ -1,40 +1,26 @@
-// Command sibench runs the full experiment suite: the Table 1 validation
-// tables, the Example 1.1 scaling series, and the per-theorem experiments
-// (see DESIGN.md §9 for the index). With -markdown it emits the body of
-// EXPERIMENTS.md. With -serving it instead benchmarks the serving API:
-// per-call analysis vs the transparent plan cache vs a prepared query.
-//
-// With -shardscale it compares concurrent-client serving throughput on
-// the single-node backend against the hash-sharded backend at 1/2/4/8
-// shards, with and without concurrent writers — the shard-scaling
-// experiment of EXPERIMENTS.md.
+// Command sibench runs the reproduction's scenarios: the paper suite of
+// internal/bench (the Table 1 validation tables, the Example 1.1 scaling
+// series and one experiment per constructive theorem; DESIGN.md §9 is
+// the index) and the serving-layer protocols below, several of which are
+// CI gates. Every scenario prints through bench.Table; a gate fails by
+// returning an error, and sibench then exits 1 after running the rest.
 //
 // Usage:
 //
-//	sibench              # full suite, plain-text tables
-//	sibench -quick       # smaller sizes
-//	sibench -markdown    # markdown tables
-//	sibench -only F1a    # one experiment
-//	sibench -serving     # prepared vs unprepared serving throughput
-//	sibench -serving -shards 4   # ... over the sharded backend
-//	sibench -shardscale  # throughput vs shard count under parallel clients
-//	sibench -limit 1     # early-exit serving: cursor WithLimit(n) vs full drain on Q1
-//	sibench -flat        # commit-flatness gate: write p50 at |D|≈30k vs ≈150k
+//	sibench [-quick] [-markdown] [-shards n] [id ...]
+//
+// With no ids it runs the paper suite. `sibench -markdown` emits the body
+// of EXPERIMENTS.md; `make smoke` runs the six gates in quick mode.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"sync"
+	"strings"
 	"time"
 
-	"repro/internal/backendtest"
 	"repro/internal/bench"
-	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/parser"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -43,104 +29,86 @@ import (
 	"repro/internal/workload"
 )
 
+var (
+	quick    = flag.Bool("quick", false, "run smaller instances")
+	markdown = flag.Bool("markdown", false, "emit markdown tables")
+	shards   = flag.Int("shards", 0, "run the protocols over this many hash shards (0 = single-node)")
+)
+
+// protocols are the serving-layer scenarios, run by id. Each row's
+// comment says what it measures and, for a gate, which regression makes
+// its Run return an error.
+var protocols = []bench.Experiment{
+	// reorder: reads/op and µs/op of Q1–Q5 under the analysis-emitted
+	// conjunct order, the cost-based order, and the cost-based order
+	// refined by live cardinality statistics. Gate: no cost-based plan
+	// reads more than its analysis order in total, and at least one
+	// query reads strictly less (Q5's ¬person probe is hoisted ahead of
+	// the ×N visit expansion).
+	{ID: "reorder", Run: reorder},
+	// live: watched Q2 subscriptions maintained through Engine.Commit
+	// over a mixed insert/delete stream, against re-executing every
+	// watcher after each commit. Gate: maintenance reads are strictly
+	// fewer than re-execution reads, every delta stays within its bound,
+	// and every live snapshot equals a fresh execution.
+	{ID: "live", Run: live},
+	// flat: the mixed commit stream with live watchers at |D| ≈ 30k and
+	// ≈ 150k. Gate: the large instance's commit p50 is within 2× the
+	// small one's, unless it is ≤ 500µs — the regression gate for O(1)
+	// tuple deletion and the allocation-free key paths.
+	{ID: "flat", Run: flat},
+	// serve: the HTTP tier under concurrent streaming clients over four
+	// tenants (one on a tight read budget), a committer and an SSE
+	// watcher. Gate: no served query exceeds its admitted bound, every
+	// rejection is a typed admission error, the strict-tenant probe is
+	// rejected for its bound, and no goroutine survives drain.
+	{ID: "serve", Run: serve},
+	// metricsz: drive a live tier, scrape GET /metricsz and strict-parse
+	// the exposition. Gate: no malformed line, every exporter family
+	// present with its TYPE, and counters that account for the traffic.
+	{ID: "metricsz", Run: metricsz},
+	// views: Q7 through the VNYC view vs its base plan, and Q6 rescued
+	// through VFol (Thm 6.1), before and after a commit stream the views
+	// are maintained through. Gate: the optimizer never picks a strictly
+	// worse view plan, no rescued execution exceeds its bound, and
+	// view-served answers equal the base plan (Q7) or the naive oracle
+	// (Q6).
+	{ID: "views", Run: viewsBench},
+	// shardscale: prepared-Q1 throughput of 8 clients, read-only and
+	// with 2 writers, single-node vs 1/2/4/8 hash shards. Not a gate:
+	// throughput depends on the machine.
+	{ID: "shardscale", Run: shardScale},
+}
+
 func main() {
-	quick := flag.Bool("quick", false, "run smaller instances")
-	markdown := flag.Bool("markdown", false, "emit markdown tables")
-	only := flag.String("only", "", "run a single experiment by id (T1, F1a, F1b, F1c, X4.4, X4.5, X5.4, X6.1, XGLT)")
-	serving := flag.Bool("serving", false, "benchmark the serving API instead (prepared vs unprepared)")
-	shards := flag.Int("shards", 0, "with -serving: run over the hash-sharded backend with this many shards (0 = single-node)")
-	shardScale := flag.Bool("shardscale", false, "benchmark concurrent-client throughput vs shard count (1/2/4/8) at fixed |D|")
-	clients := flag.Int("clients", 8, "with -shardscale: number of parallel query clients")
-	writers := flag.Int("writers", 2, "with -shardscale: number of concurrent update writers in the mixed workload")
-	limit := flag.Int("limit", 0, "benchmark early-exit serving instead: Rows WithLimit(n)/First vs a full Exec drain on Q1")
-	reorder := flag.Bool("reorder", false, "benchmark cost-ordered vs analysis-order physical plans (reads/op and µs/op on Q1-Q5); exits nonzero if reordering regresses reads")
-	useStats := flag.Bool("stats", false, "with -reorder: let the optimizer refine ordering with live backend cardinality statistics")
-	live := flag.Bool("live", false, "benchmark the commit-and-notify write path instead: maintenance reads per commit for watched Q2 queries vs full re-execution; exits nonzero unless maintenance is strictly cheaper")
-	flat := flag.Bool("flat", false, "run the commit-flatness gate instead: replay the mixed commit stream at |D|≈30k and |D|≈150k and compare median commit wall latency; exits nonzero if the large instance's p50 exceeds flat-ratio times the small one's")
-	flatRatio := flag.Float64("flat-ratio", 2.0, "with -flat: maximum allowed large/small commit-p50 ratio")
-	watchers := flag.Int("watchers", 32, "with -live: number of live Q2 subscriptions")
-	serve := flag.Bool("serve", false, "load-test the HTTP serving tier instead: concurrent streaming clients vs a committer and a live watcher; reports q/s, p50/p99, admission rejects; exits nonzero on a bound violation, misclassified rejection, or goroutine leak")
-	tenants := flag.Int("tenants", 4, "with -serve: number of tenants the clients are spread over (tenant t0 gets a tight read budget)")
-	serveDur := flag.Duration("duration", 3*time.Second, "with -serve: load duration (quick caps it at 1s)")
-	metricsz := flag.Bool("metricsz", false, "smoke-test the /metricsz exporter instead: drive a live server, scrape it over HTTP, and strict-parse the exposition; exits nonzero on any malformed line, missing family, or miscounted traffic")
-	views := flag.Bool("views", false, "benchmark materialized-view serving instead: reads/op base-plan vs view-plan, rescued-query rate, and transactional maintenance cost across a commit stream; exits nonzero if the optimizer picks a strictly worse view plan, a rescued query exceeds its bound, or a view-served answer diverges")
+	flag.Usage = func() {
+		fmt.Fprintf(os.Stderr, "usage: sibench [-quick] [-markdown] [-shards n] [id ...]\n\n")
+		flag.PrintDefaults()
+		fmt.Fprintf(os.Stderr, "\nids (none: the paper suite): %s\n", strings.Join(ids(), " "))
+	}
 	flag.Parse()
 
-	if *metricsz {
-		if err := metricsSmoke(); err != nil {
-			fmt.Fprintf(os.Stderr, "sibench: metricsz: %v\n", err)
-			os.Exit(1)
+	run := bench.All()
+	if flag.NArg() > 0 {
+		byID := make(map[string]bench.Experiment)
+		for _, e := range scenarios() {
+			byID[e.ID] = e
 		}
-		return
-	}
-	if *views {
-		if err := viewsBench(*quick, *shards); err != nil {
-			fmt.Fprintf(os.Stderr, "sibench: views: %v\n", err)
-			os.Exit(1)
+		run = nil
+		for _, id := range flag.Args() {
+			e, ok := byID[id]
+			if !ok {
+				fmt.Fprintf(os.Stderr, "sibench: unknown id %q; ids: %s\n", id, strings.Join(ids(), " "))
+				os.Exit(2)
+			}
+			run = append(run, e)
 		}
-		return
-	}
-	if *serve {
-		if err := serveBench(*quick, *shards, *clients, *tenants, *serveDur); err != nil {
-			fmt.Fprintf(os.Stderr, "sibench: serve: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *flat {
-		if err := flatBench(*quick, *shards, *flatRatio); err != nil {
-			fmt.Fprintf(os.Stderr, "sibench: flat: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *live {
-		if err := liveBench(*quick, *shards, *watchers); err != nil {
-			fmt.Fprintf(os.Stderr, "sibench: live: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *reorder {
-		if err := reorderBench(*quick, *shards, *useStats); err != nil {
-			fmt.Fprintf(os.Stderr, "sibench: reorder: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *limit > 0 {
-		if err := limitBench(*quick, *shards, *limit); err != nil {
-			fmt.Fprintf(os.Stderr, "sibench: limit: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *shardScale {
-		if err := shardScaleBench(*quick, *clients, *writers); err != nil {
-			fmt.Fprintf(os.Stderr, "sibench: shardscale: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *serving {
-		if err := servingBench(*quick, *shards); err != nil {
-			fmt.Fprintf(os.Stderr, "sibench: serving: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	start := time.Now()
-	ran := 0
-	for _, e := range bench.All() {
-		if *only != "" && e.ID != *only {
-			continue
-		}
+	failed := 0
+	for _, e := range run {
 		tables, err := e.Run(*quick)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sibench: experiment %s: %v\n", e.ID, err)
-			os.Exit(1)
-		}
 		for _, t := range tables {
 			if *markdown {
 				fmt.Println(t.Markdown())
@@ -148,141 +116,89 @@ func main() {
 				fmt.Println(t.String())
 			}
 		}
-		ran++
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "sibench: %s: %v\n", e.ID, err)
+			failed++
+		}
 	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "sibench: no experiment matched %q\n", *only)
-		os.Exit(2)
+	fmt.Fprintf(os.Stderr, "sibench: %d scenarios in %s\n", len(run), time.Since(start).Round(time.Millisecond))
+	if failed > 0 {
+		fmt.Fprintf(os.Stderr, "sibench: %d of %d failed\n", failed, len(run))
+		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "sibench: %d experiments in %s\n", ran, time.Since(start).Round(time.Millisecond))
 }
 
-// reorderBench compares, per experiment query, the analysis-emitted
-// conjunct order against the cost-based optimizer's order: average
-// TupleReads per call (the paper's currency) and wall-clock per call,
-// over the same binding sequence on the same backend. Q1–Q4 are the
-// conformance queries (their chase plans are already greedily ordered,
-// so the columns match); Q5 — restaurants visited by non-NYC friends —
-// is the showcase whose safe negation keeps the chase away: the
-// optimizer hoists the ¬person emptiness probe ahead of the ×N visit
-// expansion. The run exits nonzero if any query's cost-ordered plan
-// reads more than its analysis order in total.
-func reorderBench(quick bool, shards int, useStats bool) error {
-	persons := 10000
-	iters := 4000
-	if quick {
-		persons, iters = 2000, 1500
+// scenarios returns every runnable scenario: the paper suite, then the
+// protocols.
+func scenarios() []bench.Experiment { return append(bench.All(), protocols...) }
+
+// ids lists every scenario id in registry order.
+func ids() []string {
+	var out []string
+	for _, e := range scenarios() {
+		out = append(out, e.ID)
 	}
+	return out
+}
+
+// social is an opened instance of the social workload.
+type social struct {
+	st      store.Backend
+	cfg     workload.Config
+	backend string // "single-node" or "n-shard"
+
+	// gen is the generated instance. Open leaves its contents as
+	// generated, so commit streams derived from it before the first
+	// commit match the backend's initial state.
+	gen *relation.Database
+}
+
+// openSocial generates the default social workload with the given number
+// of persons (seed 7) and opens it single-node, or over that many hash
+// shards when shards > 0.
+func openSocial(persons, shards int) (*social, error) {
 	cfg := workload.DefaultConfig()
 	cfg.Persons = persons
 	cfg.Seed = 7
 	db, err := workload.Generate(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	var st store.Backend
+	s := &social{cfg: cfg, backend: backendName(shards), gen: db}
 	if shards > 0 {
-		st, err = shard.Open(db, workload.Access(cfg), shards)
+		s.st, err = shard.Open(db, workload.Access(cfg), shards)
 	} else {
-		st, err = store.Open(db, workload.Access(cfg))
+		s.st, err = store.Open(db, workload.Access(cfg))
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
-	engOff := core.NewEngine(st)
-	engOff.SetOptimizer(core.OptimizerOff)
-	engOn := core.NewEngine(st)
-	mode := core.OptimizerOn
-	if useStats {
-		mode = core.OptimizerStats
-	}
-	engOn.SetOptimizer(mode)
-	ctx := context.Background()
-
-	queries := []struct {
-		name string
-		src  string
-		ctrl []string
-		bind func(i int) query.Bindings
-	}{
-		{"Q1", workload.Q1Src, []string{"p"}, bindP(persons)},
-		{"Q2", workload.Q2Src, []string{"p"}, bindP(persons)},
-		{"Q3", workload.Q3Src, []string{"p", "yy"}, func(i int) query.Bindings {
-			return query.Bindings{"p": relation.Int(int64(i % persons)), "yy": relation.Int(int64(cfg.Years[i%len(cfg.Years)]))}
-		}},
-		{"Q4", backendtest.Q4Src, []string{"p"}, bindP(persons)},
-		{"Q5", backendtest.Q5Src, []string{"p"}, bindP(persons)},
-	}
-
-	backend := "single-node"
-	if shards > 0 {
-		backend = fmt.Sprintf("%d-shard", shards)
-	}
-	fmt.Printf("conjunct reordering: |D| = %d (%s backend), optimizer %s, %d executions per cell:\n\n",
-		st.Size(), backend, mode, iters)
-	fmt.Printf("%-5s %16s %16s %12s %12s %10s\n", "query", "reads/op (anal.)", "reads/op (cost)", "µs/op (anal.)", "µs/op (cost)", "Δreads")
-	regressed := false
-	improvedAny := false
-	for _, qd := range queries {
-		q, err := parseServing(qd.src)
-		if err != nil {
-			return err
-		}
-		prepOff, err := engOff.Prepare(q, query.NewVarSet(qd.ctrl...))
-		if err != nil {
-			return fmt.Errorf("%s: %w", qd.name, err)
-		}
-		prepOn, err := engOn.Prepare(q, query.NewVarSet(qd.ctrl...))
-		if err != nil {
-			return fmt.Errorf("%s: %w", qd.name, err)
-		}
-		measure := func(prep *core.PreparedQuery) (reads int64, d time.Duration, err error) {
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				ans, err := prep.Exec(ctx, qd.bind(i), core.WithoutTrace())
-				if err != nil {
-					return 0, 0, err
-				}
-				reads += ans.Cost.TupleReads
-			}
-			return reads, time.Since(start), nil
-		}
-		rOff, tOff, err := measure(prepOff)
-		if err != nil {
-			return fmt.Errorf("%s analysis order: %w", qd.name, err)
-		}
-		rOn, tOn, err := measure(prepOn)
-		if err != nil {
-			return fmt.Errorf("%s cost order: %w", qd.name, err)
-		}
-		delta := float64(rOn-rOff) / float64(iters)
-		fmt.Printf("%-5s %16.2f %16.2f %12.1f %12.1f %+10.2f\n",
-			qd.name,
-			float64(rOff)/float64(iters), float64(rOn)/float64(iters),
-			float64(tOff.Microseconds())/float64(iters), float64(tOn.Microseconds())/float64(iters),
-			delta)
-		if rOn > rOff {
-			regressed = true
-		}
-		if rOn < rOff {
-			improvedAny = true
-		}
-	}
-	if regressed {
-		return fmt.Errorf("a cost-ordered plan read more than its analysis order")
-	}
-	if improvedAny {
-		fmt.Printf("\ncost-ordered plans never read more; at least one query reads strictly less than analysis order.\n")
-	} else {
-		fmt.Printf("\nno query improved — every analysis-emitted order was already optimal on this workload.\n")
-	}
-	return nil
+	return s, nil
 }
 
-func bindP(persons int) func(i int) query.Bindings {
-	return func(i int) query.Bindings {
-		return query.Bindings{"p": relation.Int(int64(i % persons))}
+// backendName labels the backend openSocial opens for shards.
+func backendName(shards int) string {
+	if shards > 0 {
+		return fmt.Sprintf("%d-shard", shards)
 	}
+	return "single-node"
+}
+
+// commitStream returns n mixed insert/delete commits that keep the hot
+// persons' Q2 answers moving (workload.MixedCommits, seed 99). Call it
+// before the first commit.
+func (s *social) commitStream(n int, hot []int64) []*relation.Update {
+	return workload.MixedCommits(s.gen, s.cfg, n, hot, 99)
+}
+
+// hotPersons returns the n person ids the watchers and view probes
+// use: every seventh id, wrapping at the instance size.
+func (s *social) hotPersons(n int) []int64 {
+	hot := make([]int64, n)
+	for i := range hot {
+		hot[i] = int64((i * 7) % s.cfg.Persons)
+	}
+	return hot
 }
 
 // parseServing parses a serving query in either syntax.
@@ -293,546 +209,5 @@ func parseServing(src string) (*query.Query, error) {
 	return parser.ParseQuery(src)
 }
 
-// servingBench measures the serving lifecycle on the Q1 workload: the
-// same repeated-execution loop with (a) the plan cache disabled — every
-// call pays the controllability analysis, (b) the transparent engine
-// cache, and (c) an explicitly prepared query. With shards > 0 the loops
-// run over the hash-sharded backend instead of the single-node store.
-func servingBench(quick bool, shards int) error {
-	persons := 10000
-	iters := 20000
-	if quick {
-		persons, iters = 2000, 4000
-	}
-	cfg := workload.DefaultConfig()
-	cfg.Persons = persons
-	cfg.Seed = 7
-	db, err := workload.Generate(cfg)
-	if err != nil {
-		return err
-	}
-	var st store.Backend
-	if shards > 0 {
-		st, err = shard.Open(db, workload.Access(cfg), shards)
-	} else {
-		st, err = store.Open(db, workload.Access(cfg))
-	}
-	if err != nil {
-		return err
-	}
-	q, err := parser.ParseQuery(workload.Q1Src)
-	if err != nil {
-		return err
-	}
-	ctx := context.Background()
-	bind := func(i int) query.Bindings {
-		return query.Bindings{"p": relation.Int(int64(i % 1000))}
-	}
-
-	run := func(name string, once func(i int) error) (time.Duration, error) {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if err := once(i); err != nil {
-				return 0, fmt.Errorf("%s: %w", name, err)
-			}
-		}
-		return time.Since(start), nil
-	}
-
-	uncached := core.NewEngine(st)
-	uncached.SetPlanCacheSize(0)
-	tU, err := run("unprepared", func(i int) error {
-		_, err := uncached.AnswerContext(ctx, q, bind(i))
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	cached := core.NewEngine(st)
-	tC, err := run("plan-cache", func(i int) error {
-		_, err := cached.AnswerContext(ctx, q, bind(i))
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	prep, err := core.NewEngine(st).Prepare(q, query.NewVarSet("p"))
-	if err != nil {
-		return err
-	}
-	tP, err := run("prepared", func(i int) error {
-		_, err := prep.Exec(ctx, bind(i))
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	tH, err := run("prepared-notrace", func(i int) error {
-		_, err := prep.Exec(ctx, bind(i), core.WithoutTrace())
-		return err
-	})
-	if err != nil {
-		return err
-	}
-
-	backend := "single-node"
-	if shards > 0 {
-		backend = fmt.Sprintf("%d-shard", shards)
-	}
-	fmt.Printf("serving Q1 on |D| = %d (%s backend), %d executions each:\n\n", st.Size(), backend, iters)
-	fmt.Printf("%-34s %12s %14s\n", "mode", "per call", "vs unprepared")
-	for _, r := range []struct {
-		name string
-		d    time.Duration
-	}{
-		{"unprepared (analysis per call)", tU},
-		{"Answer via engine plan cache", tC},
-		{"PreparedQuery.Exec", tP},
-		{"PreparedQuery.Exec WithoutTrace", tH},
-	} {
-		per := r.d / time.Duration(iters)
-		fmt.Printf("%-34s %12s %13.1fx\n", r.name, per, float64(tU)/float64(r.d))
-	}
-	cs := cached.PlanCacheStats()
-	fmt.Printf("\nplan cache (Answer path): %d hits, %d misses, %d evictions — %.2f%% of calls skipped re-analysis\n",
-		cs.Hits, cs.Misses, cs.Evictions, 100*float64(cs.Hits)/float64(cs.Hits+cs.Misses))
-	return nil
-}
-
-// limitBench measures what early termination buys on the serving path:
-// the same prepared Q1 executed over the same binding sequence (a) as a
-// full Exec drain, (b) as a cursor stopped after n answers (WithLimit),
-// and (c) as First (n = 1). Reads are the paper's currency, so the table
-// reports average TupleReads per call next to wall-clock — the limited
-// cursor must charge strictly fewer reads than the drain whenever the
-// answer set is larger than n.
-func limitBench(quick bool, shards, n int) error {
-	persons := 10000
-	iters := 20000
-	if quick {
-		persons, iters = 2000, 4000
-	}
-	cfg := workload.DefaultConfig()
-	cfg.Persons = persons
-	cfg.Seed = 7
-	db, err := workload.Generate(cfg)
-	if err != nil {
-		return err
-	}
-	var st store.Backend
-	if shards > 0 {
-		st, err = shard.Open(db, workload.Access(cfg), shards)
-	} else {
-		st, err = store.Open(db, workload.Access(cfg))
-	}
-	if err != nil {
-		return err
-	}
-	q, err := parser.ParseQuery(workload.Q1Src)
-	if err != nil {
-		return err
-	}
-	prep, err := core.NewEngine(st).Prepare(q, query.NewVarSet("p"))
-	if err != nil {
-		return err
-	}
-	ctx := context.Background()
-	bind := func(i int) query.Bindings {
-		return query.Bindings{"p": relation.Int(int64(i % 1000))}
-	}
-
-	type row struct {
-		name    string
-		reads   int64
-		answers int64
-		d       time.Duration
-	}
-	measure := func(name string, once func(i int) (reads, answers int64, err error)) (row, error) {
-		r := row{name: name}
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			reads, answers, err := once(i)
-			if err != nil {
-				return r, fmt.Errorf("%s: %w", name, err)
-			}
-			r.reads += reads
-			r.answers += answers
-		}
-		r.d = time.Since(start)
-		return r, nil
-	}
-
-	full, err := measure("Exec (full drain)", func(i int) (int64, int64, error) {
-		ans, err := prep.Exec(ctx, bind(i), core.WithoutTrace())
-		if err != nil {
-			return 0, 0, err
-		}
-		return ans.Cost.TupleReads, int64(ans.Tuples.Len()), nil
-	})
-	if err != nil {
-		return err
-	}
-	limited, err := measure(fmt.Sprintf("Rows WithLimit(%d)", n), func(i int) (int64, int64, error) {
-		rows, err := prep.Query(ctx, bind(i), core.WithoutTrace(), core.WithLimit(n))
-		if err != nil {
-			return 0, 0, err
-		}
-		defer rows.Close()
-		answers := int64(0)
-		for rows.Next() {
-			answers++
-		}
-		if err := rows.Err(); err != nil {
-			return 0, 0, err
-		}
-		return rows.Cost().TupleReads, answers, nil
-	})
-	if err != nil {
-		return err
-	}
-	first, err := measure("First", func(i int) (int64, int64, error) {
-		rows, err := prep.Query(ctx, bind(i), core.WithoutTrace(), core.WithLimit(1))
-		if err != nil {
-			return 0, 0, err
-		}
-		defer rows.Close()
-		if rows.Next() {
-			return rows.Cost().TupleReads, 1, nil
-		}
-		return rows.Cost().TupleReads, 0, rows.Err()
-	})
-	if err != nil {
-		return err
-	}
-
-	backend := "single-node"
-	if shards > 0 {
-		backend = fmt.Sprintf("%d-shard", shards)
-	}
-	fmt.Printf("early-exit serving Q1 on |D| = %d (%s backend), %d executions each:\n\n", st.Size(), backend, iters)
-	fmt.Printf("%-22s %14s %14s %12s\n", "mode", "avg reads/call", "avg answers", "per call")
-	for _, r := range []row{full, limited, first} {
-		fmt.Printf("%-22s %14.2f %14.2f %12s\n",
-			r.name,
-			float64(r.reads)/float64(iters),
-			float64(r.answers)/float64(iters),
-			(r.d / time.Duration(iters)).Round(time.Nanosecond))
-	}
-	if limited.answers == full.answers {
-		// n never truncated anything: every drain fit under the limit, so
-		// reads are legitimately equal — not a failure of early exit.
-		fmt.Printf("\nlimit %d was never reached (every answer set fit under it); lower -limit to measure early exit.\n", n)
-		return nil
-	}
-	if limited.reads >= full.reads {
-		return fmt.Errorf("early exit saved nothing: limited %d reads vs full %d", limited.reads, full.reads)
-	}
-	fmt.Printf("\nWithLimit(%d) read %.1f%% of the full drain's tuples; the unread fetches were never issued.\n",
-		n, 100*float64(limited.reads)/float64(full.reads))
-	return nil
-}
-
-// shardScaleBench holds |D|, the client count and the total work fixed
-// and varies the backend: single-node, then 1/2/4/8 hash shards. Every
-// configuration performs the same fixed workload — each of `clients`
-// goroutines executes a fixed count of prepared Q1 calls — first
-// read-only, then mixed with `writers` goroutines concurrently applying
-// (and undoing) a fixed count of 48-tuple single-entity friend batches.
-// Wall-clock time for the whole batch gives queries/second; each
-// measurement is the best of `rounds` runs (the usual guard against
-// scheduler noise). The mixed column is where per-shard write locks pay
-// off: on the single node every ApplyUpdate excludes all readers; on n
-// shards it excludes only the readers of one shard.
-func shardScaleBench(quick bool, clients, writers int) error {
-	persons := 20000
-	perClient := 1500
-	perWriter := 400
-	rounds := 4
-	if quick {
-		persons, perClient, perWriter, rounds = 4000, 400, 100, 2
-	}
-	cfg := workload.DefaultConfig()
-	cfg.Persons = persons
-	cfg.Seed = 7
-	data, err := workload.Generate(cfg)
-	if err != nil {
-		return err
-	}
-	acc := workload.Access(cfg)
-	q, err := parser.ParseQuery(workload.Q1Src)
-	if err != nil {
-		return err
-	}
-
-	type cfgRow struct {
-		name   string
-		open   func() (store.Backend, error)
-		qps    float64
-		mixQPS float64
-	}
-	rows := []*cfgRow{
-		{name: "single-node", open: func() (store.Backend, error) { return store.Open(data.Clone(), acc) }},
-	}
-	for _, n := range []int{1, 2, 4, 8} {
-		n := n
-		rows = append(rows, &cfgRow{
-			name: fmt.Sprintf("%d shard(s)", n),
-			open: func() (store.Backend, error) { return shard.Open(data.Clone(), acc, n) },
-		})
-	}
-
-	totalQueries := clients * perClient
-	for _, row := range rows {
-		b, err := row.open()
-		if err != nil {
-			return err
-		}
-		prep, err := core.NewEngine(b).Prepare(q, query.NewVarSet("p"))
-		if err != nil {
-			return err
-		}
-		// firstErr keeps the first failure from any goroutine. A mutex (not
-		// atomic.Value) because failing goroutines may carry different
-		// concrete error types.
-		var errMu sync.Mutex
-		var firstErr error
-		fail := func(err error) {
-			errMu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			errMu.Unlock()
-		}
-		serve := func(withWriters bool) time.Duration {
-			var wg sync.WaitGroup
-			start := time.Now()
-			for c := 0; c < clients; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					ctx := context.Background()
-					for i := 0; i < perClient; i++ {
-						p := relation.Int(int64((c*7919 + i) % persons))
-						if _, err := prep.Exec(ctx, query.Bindings{"p": p}, core.WithoutTrace()); err != nil {
-							fail(err)
-							return
-						}
-					}
-				}(c)
-			}
-			if withWriters {
-				for w := 0; w < writers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						// Each writer commits through its own engine over the
-						// shared backend — independent serving processes, so
-						// commits do not serialize behind one engine's commit
-						// lock and the storage layer's per-shard write locks
-						// stay the contended resource being measured.
-						weng := core.NewEngine(b)
-						ctx := context.Background()
-						base := int64(1_000_000 + 10_000*w)
-						for i := 0; i < perWriter; i++ {
-							// One entity's friend list per batch: routes to one
-							// shard, the write shape per-shard locks help most;
-							// 48 tuples holds the write lock long enough that a
-							// global lock visibly stalls readers while staying
-							// within the schema's MaxFriends=50 bound.
-							u := relation.NewUpdate()
-							id := base + int64(i%1000)
-							for k := int64(0); k < 48; k++ {
-								u.Insert("friend", relation.Tuple{relation.Int(id), relation.Int(k)})
-							}
-							if _, err := weng.Commit(ctx, u); err != nil {
-								fail(err)
-								return
-							}
-							if _, err := weng.Commit(ctx, u.Inverse()); err != nil {
-								fail(err)
-								return
-							}
-						}
-					}(w)
-				}
-			}
-			wg.Wait()
-			return time.Since(start)
-		}
-		// Fail fast between rounds: a failing backend should not burn the
-		// remaining rounds and the whole mixed phase before reporting.
-		best := func(withWriters bool) (float64, error) {
-			bestT := time.Duration(0)
-			for r := 0; r < rounds; r++ {
-				t := serve(withWriters)
-				errMu.Lock()
-				err := firstErr
-				errMu.Unlock()
-				if err != nil {
-					return 0, err
-				}
-				if bestT == 0 || t < bestT {
-					bestT = t
-				}
-			}
-			return float64(totalQueries) / bestT.Seconds(), nil
-		}
-		if row.qps, err = best(false); err != nil {
-			return fmt.Errorf("%s: %w", row.name, err)
-		}
-		if row.mixQPS, err = best(true); err != nil {
-			return fmt.Errorf("%s: %w", row.name, err)
-		}
-	}
-
-	fmt.Printf("shard scaling: Q1 serving at |D| = %d, %d clients x %d queries, %d writers x %d update batches, GOMAXPROCS=%d\n\n",
-		data.Size(), clients, perClient, writers, 2*perWriter, runtime.GOMAXPROCS(0))
-	fmt.Printf("%-14s %14s %20s\n", "backend", "read-only q/s", "mixed q/s (writers)")
-	for _, row := range rows {
-		fmt.Printf("%-14s %14.0f %20.0f\n", row.name, row.qps, row.mixQPS)
-	}
-	return nil
-}
-
-// liveBench measures what the commit-and-notify write path buys over the
-// serve-by-re-execution strategy: W live Q2 subscriptions (A-rated NYC
-// restaurants visited by p's NYC friends) are watched while a randomized
-// mixed insert/delete commit stream runs through Engine.Commit. For every
-// commit the bench accumulates (a) the maintenance reads actually charged
-// to the watchers — each bounded by its N-derived per-delta bound — and
-// (b) the reads W fresh prepared re-executions of the same queries cost
-// on the post-commit state, i.e. what keeping W readers fresh would pay
-// without incremental maintenance. It reports commits/s for the pipeline
-// itself (re-execution probes excluded) and exits nonzero if maintenance
-// is not strictly cheaper per commit, or if any live snapshot ever
-// diverges from a fresh execution.
-func liveBench(quick bool, shards, watchers int) error {
-	persons := 10000 // |D| ≈ 151k, the reordering experiment's size
-	commits := 1200
-	if quick {
-		persons, commits = 2000, 400
-	}
-	cfg := workload.DefaultConfig()
-	cfg.Persons = persons
-	cfg.Seed = 7
-	db, err := workload.Generate(cfg)
-	if err != nil {
-		return err
-	}
-	// The commit stream is generated against the initial state, before the
-	// backend takes ownership of db.
-	var hot []int64
-	for i := 0; i < watchers; i++ {
-		hot = append(hot, int64((i*7)%persons))
-	}
-	stream := workload.MixedCommits(db, cfg, commits, hot, 99)
-
-	var st store.Backend
-	if shards > 0 {
-		st, err = shard.Open(db, workload.Access(cfg), shards)
-	} else {
-		st, err = store.Open(db, workload.Access(cfg))
-	}
-	if err != nil {
-		return err
-	}
-	eng := core.NewEngine(st)
-	q, err := parseServing(workload.Q2Src)
-	if err != nil {
-		return err
-	}
-	prep, err := eng.Prepare(q, query.NewVarSet("p"))
-	if err != nil {
-		return err
-	}
-	ctx := context.Background()
-	type sub struct {
-		fixed query.Bindings
-		l     *core.Live
-	}
-	subs := make([]sub, 0, watchers)
-	for _, p := range hot {
-		fixed := query.Bindings{"p": relation.Int(p)}
-		l, err := prep.Watch(ctx, fixed)
-		if err != nil {
-			return fmt.Errorf("watch p=%d: %w", p, err)
-		}
-		defer l.Close()
-		subs = append(subs, sub{fixed: fixed, l: l})
-	}
-
-	var maintReads, reexecReads int64
-	var commitTime time.Duration
-	lath := obs.NewHistogram()
-	for _, u := range stream {
-		start := time.Now()
-		res, err := eng.Commit(ctx, u)
-		lat := time.Since(start)
-		commitTime += lat
-		lath.ObserveDuration(lat)
-		if err != nil {
-			return err
-		}
-		maintReads += res.Maintenance.TupleReads
-		// The baseline: every watcher re-executes against the new state.
-		for _, s := range subs {
-			ans, err := prep.Exec(ctx, s.fixed, core.WithoutTrace())
-			if err != nil {
-				return err
-			}
-			reexecReads += ans.Cost.TupleReads
-		}
-	}
-
-	// Exactness: every snapshot must equal a fresh execution, and every
-	// delivered delta must have stayed within its bound.
-	var deltas int
-	var maxReads, maxBound int64
-	for _, s := range subs {
-		ans, err := prep.Exec(ctx, s.fixed)
-		if err != nil {
-			return err
-		}
-		if !s.l.Snapshot().Equal(ans.Tuples) {
-			return fmt.Errorf("live snapshot for %v diverged from fresh execution", s.fixed)
-		}
-		s.l.Close()
-		for d, err := range s.l.Deltas() {
-			if err != nil {
-				return err
-			}
-			if d.Cost.TupleReads > d.Bound {
-				return fmt.Errorf("delta seq %d charged %d reads over its bound %d", d.Seq, d.Cost.TupleReads, d.Bound)
-			}
-			if d.Cost.TupleReads > maxReads {
-				maxReads = d.Cost.TupleReads
-			}
-			if d.Bound > maxBound {
-				maxBound = d.Bound
-			}
-			deltas++
-		}
-	}
-
-	backend := "single-node"
-	if shards > 0 {
-		backend = fmt.Sprintf("%d-shard", shards)
-	}
-	n := float64(len(stream))
-	fmt.Printf("live Q2 maintenance on |D| = %d (%s backend): %d commits, %d watched subscriptions\n\n",
-		st.Size(), backend, len(stream), len(subs))
-	fmt.Printf("%-38s %14s\n", "", "per commit")
-	fmt.Printf("%-38s %14.1f\n", "maintenance reads (all watchers)", float64(maintReads)/n)
-	fmt.Printf("%-38s %14.1f\n", "full re-execution reads (baseline)", float64(reexecReads)/n)
-	fmt.Printf("%-38s %14s\n", "commit latency (incl. maintenance)", (commitTime / time.Duration(len(stream))).Round(time.Microsecond))
-	fmt.Printf("%-38s %14s\n", "commit latency p50", lath.QuantileDuration(0.50).Round(time.Microsecond))
-	fmt.Printf("%-38s %14s\n", "commit latency p99", lath.QuantileDuration(0.99).Round(time.Microsecond))
-	fmt.Printf("%-38s %14.0f\n", "commits/s", n/commitTime.Seconds())
-	fmt.Printf("\n%d deltas delivered; max per-delta reads %d, max bound %d — every snapshot ≡ fresh Exec\n",
-		deltas, maxReads, maxBound)
-	if maintReads >= reexecReads {
-		return fmt.Errorf("maintenance (%d reads) is not strictly cheaper than re-execution (%d reads)", maintReads, reexecReads)
-	}
-	fmt.Printf("maintenance pays %.1f%% of the re-execution baseline per commit\n", 100*float64(maintReads)/float64(reexecReads))
-	return nil
-}
+// bindP binds the controlled person id p.
+func bindP(p int64) query.Bindings { return query.Bindings{"p": relation.Int(p)} }

@@ -7,29 +7,33 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/server"
 	"repro/internal/server/client"
-	"repro/internal/shard"
-	"repro/internal/store"
 	"repro/internal/workload"
 )
 
-// serveBench is the serving-tier load harness (-serve): it mounts the
-// HTTP tier on a real socket, hammers it with concurrent streaming
-// clients spread over tenants — one of which gets a deliberately tight
-// windowed read budget so admission control is exercised under load —
-// races a committer and a live watcher against the readers, and reports
-// q/s, latency percentiles, and admission reject counts.
-//
-// It exits nonzero (the serve-smoke CI gate) if any of the serving
-// tier's contracts broke:
+// The serve scenario's load shape.
+const (
+	serveClients = 8
+	serveTenants = 4
+)
+
+// serve is the serving-tier load harness: it mounts the HTTP tier on a
+// real socket, hammers it with concurrent streaming clients spread over
+// tenants — one of which gets a deliberately tight windowed read budget
+// so admission control is exercised under load — races a committer and a
+// live watcher against the readers, and reports q/s, latency percentiles
+// and admission reject counts. It fails if any of the tier's contracts
+// broke:
 //
 //   - a served query's measured reads exceeded the bound it was admitted
 //     under (scale independence violated over the wire);
@@ -38,46 +42,29 @@ import (
 //   - a deterministic SLA probe was NOT rejected, or was rejected with
 //     the wrong type;
 //   - goroutines leaked through drain + shutdown.
-func serveBench(quick bool, shards, clients, tenants int, dur time.Duration) error {
-	cfg := workload.DefaultConfig()
+func serve(quick bool) ([]*bench.Table, error) {
+	persons, dur := 1000, 3*time.Second
 	if quick {
-		cfg.Persons = 240
-		cfg.Seed = 11
-		if dur > time.Second {
-			dur = time.Second
-		}
+		persons, dur = 240, time.Second
 	}
-	data, err := workload.Generate(cfg)
+	s, err := openSocial(persons, *shards)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	acc := workload.Access(cfg)
-	var b store.Backend
-	if shards > 0 {
-		b, err = shard.Open(data, acc, shards)
-	} else {
-		b, err = store.Open(data, acc)
-	}
-	if err != nil {
-		return err
-	}
-	eng := core.NewEngine(b)
+	eng := core.NewEngine(s.st)
 
 	// Size tenant t0's budget off Q1's static bound M: room for ~4 full
 	// entitlements per 25ms window, so a saturating client sees real
 	// budget rejections while the other tenants run unlimited.
 	q, err := parseServing(workload.Q1Src)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	prep0, err := eng.Prepare(q, query.NewVarSet("p"))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	boundM := prep0.Plan().Bound.Reads
-	if tenants < 1 {
-		tenants = 1
-	}
 	policies := map[string]server.TenantPolicy{
 		"t0":     {ReadBudget: 4 * boundM, Window: 25 * time.Millisecond},
 		"strict": {MaxBound: 1},
@@ -88,19 +75,12 @@ func serveBench(quick bool, shards, clients, tenants int, dur time.Duration) err
 	baseline := runtime.NumGoroutine()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	hs := &http.Server{Handler: srv}
 	go hs.Serve(ln)
 	base := "http://" + ln.Addr().String()
 	ctx := context.Background()
-
-	backend := "single-node"
-	if shards > 0 {
-		backend = fmt.Sprintf("%d-shard", shards)
-	}
-	fmt.Printf("serve: %s backend, |D| = %d, Q1 bound M = %d reads, %d clients over %d tenants for %s\n",
-		backend, b.Size(), boundM, clients, tenants, dur)
 
 	// Per-client results, merged after the run. Latencies go straight into
 	// a shared histogram (obs.Histogram is concurrency-safe), which also
@@ -113,16 +93,16 @@ func serveBench(quick bool, shards, clients, tenants int, dur time.Duration) err
 		boundViolated int64
 		badErrs       []error
 	}
-	results := make([]result, clients)
+	results := make([]result, serveClients)
 	lath := obs.NewHistogram()
 	deadline := time.Now().Add(dur)
 	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
+	for c := 0; c < serveClients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			res := &results[c]
-			tenant := fmt.Sprintf("t%d", c%tenants)
+			tenant := fmt.Sprintf("t%d", c%serveTenants)
 			cl := client.New(base, client.WithTenant(tenant))
 			prep, err := cl.Prepare(ctx, workload.Q1Src, "p")
 			if err != nil {
@@ -130,7 +110,7 @@ func serveBench(quick bool, shards, clients, tenants int, dur time.Duration) err
 				return
 			}
 			for i := 0; time.Now().Before(deadline); i++ {
-				fixed := q1Bind(int64((c*131 + i*7) % cfg.Persons))
+				fixed := bindP(int64((c*131 + i*7) % s.cfg.Persons))
 				start := time.Now()
 				_, stats, err := prep.Exec(ctx, fixed)
 				lat := time.Since(start)
@@ -168,7 +148,7 @@ func serveBench(quick bool, shards, clients, tenants int, dur time.Duration) err
 		defer wg.Done()
 		cl := client.New(base)
 		for i := int64(0); time.Now().Before(deadline); i++ {
-			u := serveUpdate(i, int64(cfg.Persons))
+			u := serveUpdate(i, int64(s.cfg.Persons))
 			if _, err := cl.Commit(ctx, u); err != nil {
 				commitErr = fmt.Errorf("commit %d: %w", i, err)
 				return
@@ -187,7 +167,7 @@ func serveBench(quick bool, shards, clients, tenants int, dur time.Duration) err
 			watchErr = err
 			return
 		}
-		w, err := prep.Watch(ctx, q1Bind(1), false)
+		w, err := prep.Watch(ctx, bindP(1), false)
 		if err != nil {
 			watchErr = err
 			return
@@ -219,25 +199,25 @@ func serveBench(quick bool, shards, clients, tenants int, dur time.Duration) err
 	_, strictErr := strict.Prepare(ctx, workload.Q1Src, "p")
 	var strictAdm *server.AdmissionError
 	if strictErr == nil {
-		return fmt.Errorf("strict tenant (MaxBound 1) was admitted for a bound-%d plan", boundM)
+		return nil, fmt.Errorf("strict tenant (MaxBound 1) was admitted for a bound-%d plan", boundM)
 	}
 	if !errors.As(strictErr, &strictAdm) || strictAdm.Reason != "bound" {
-		return fmt.Errorf("strict tenant rejected with the wrong type: %w", strictErr)
+		return nil, fmt.Errorf("strict tenant rejected with the wrong type: %w", strictErr)
 	}
 
 	status, err := client.New(base).Status(ctx)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	// Drain and shut down before judging goroutines.
 	drainCtx, cancel := context.WithTimeout(ctx, 15*time.Second)
 	defer cancel()
 	if err := srv.Drain(drainCtx); err != nil {
-		return err
+		return nil, err
 	}
 	if err := hs.Shutdown(drainCtx); err != nil {
-		return err
+		return nil, err
 	}
 	if tr, ok := http.DefaultTransport.(*http.Transport); ok {
 		tr.CloseIdleConnections()
@@ -255,35 +235,41 @@ func serveBench(quick bool, shards, clients, tenants int, dur time.Duration) err
 		boundViolated += r.boundViolated
 		badErrs = append(badErrs, r.badErrs...)
 	}
-	rejected := rejBound + rejBudget + rejConc + 1 // +1: the strict probe
-	fmt.Printf("serve: %d queries ok (%.0f q/s), p50 %s, p99 %s\n",
-		ok, float64(ok)/dur.Seconds(),
-		lath.QuantileDuration(0.50).Round(time.Microsecond), lath.QuantileDuration(0.99).Round(time.Microsecond))
-	fmt.Printf("serve: admission rejected %d (bound %d, budget %d, concurrency %d), %d commits, %d watch deltas (%d folded commits)\n",
-		rejected, rejBound+1, rejBudget, rejConc, commits, watchDeltas, watchFolded)
-	fmt.Printf("serve: engine after load: size %d, commit seq %d, plan cache %d entries (%d hits / %d misses), %d watchers\n",
-		status.Engine.Size, status.Engine.CommitSeq, status.Engine.PlanCacheLen,
-		status.Engine.PlanCache.Hits, status.Engine.PlanCache.Misses, status.Engine.Watchers)
-	for name, ts := range status.Tenants {
-		fmt.Printf("serve:   tenant %-8s admitted %5d, rejected %d/%d/%d, measured %d reads\n",
-			name, ts.Admitted, ts.RejectedBound, ts.RejectedBudget, ts.RejectedConcurrency, ts.MeasuredReads)
+	t := bench.NewTable("serve",
+		fmt.Sprintf("HTTP serving tier on |D| = %d (%s backend): Q1 bound M = %d reads, %d clients over %d tenants for %s",
+			s.st.Size(), s.backend, boundM, serveClients, serveTenants, dur),
+		"tenant", "admitted", "rejected (bound)", "rejected (budget)", "rejected (concurrency)", "measured reads")
+	tenants := make([]string, 0, len(status.Tenants))
+	for name := range status.Tenants {
+		tenants = append(tenants, name)
 	}
+	sort.Strings(tenants)
+	for _, name := range tenants {
+		ts := status.Tenants[name]
+		t.Row(name, ts.Admitted, ts.RejectedBound, ts.RejectedBudget, ts.RejectedConcurrency, ts.MeasuredReads)
+	}
+	t.Notes = fmt.Sprintf("%d queries ok (%.0f q/s), p50 %s, p99 %s; client-side rejections: bound %d (incl. the strict probe), budget %d, concurrency %d; %d commits, %d watch deltas (%d folded commits); plan cache %d hits / %d misses.",
+		ok, float64(ok)/dur.Seconds(),
+		lath.QuantileDuration(0.50).Round(time.Microsecond), lath.QuantileDuration(0.99).Round(time.Microsecond),
+		rejBound+1, rejBudget, rejConc, commits, watchDeltas, watchFolded,
+		status.Engine.PlanCache.Hits, status.Engine.PlanCache.Misses)
+	tables := []*bench.Table{t}
 
 	// Contract verdicts.
 	if boundViolated > 0 {
-		return fmt.Errorf("%d served queries exceeded their admitted bound", boundViolated)
+		return tables, fmt.Errorf("%d served queries exceeded their admitted bound", boundViolated)
 	}
 	if len(badErrs) > 0 {
-		return fmt.Errorf("%d requests failed outside the admission taxonomy; first: %w", len(badErrs), badErrs[0])
+		return tables, fmt.Errorf("%d requests failed outside the admission taxonomy; first: %w", len(badErrs), badErrs[0])
 	}
 	if commitErr != nil {
-		return commitErr
+		return tables, commitErr
 	}
 	if watchErr != nil {
-		return watchErr
+		return tables, watchErr
 	}
 	if ok == 0 {
-		return errors.New("no queries completed")
+		return tables, errors.New("no queries completed")
 	}
 	// Goroutine leak check: after drain + shutdown everything the tier
 	// spawned must be gone (allow slack for runtime/netpoll churn).
@@ -292,16 +278,12 @@ func serveBench(quick bool, shards, clients, tenants int, dur time.Duration) err
 		if n := runtime.NumGoroutine(); n <= baseline+3 {
 			break
 		} else if time.Now().After(leakDeadline) {
-			return fmt.Errorf("goroutine leak: %d running after drain, baseline %d", n, baseline)
+			return tables, fmt.Errorf("goroutine leak: %d running after drain, baseline %d", n, baseline)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	fmt.Println("serve: all served queries within bound, rejections typed, no goroutine leak")
-	return nil
+	return tables, nil
 }
-
-// q1Bind binds Q1's controlled person id.
-func q1Bind(p int64) query.Bindings { return query.Bindings{"p": relation.Int(p)} }
 
 // serveUpdate builds the i-th committer update: a new person in NYC and
 // a friend edge from a rotating existing person, all ids disjoint from

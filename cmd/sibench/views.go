@@ -8,12 +8,11 @@ import (
 
 	"repro/internal/access"
 	"repro/internal/backendtest"
+	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/parser"
 	"repro/internal/query"
-	"repro/internal/relation"
-	"repro/internal/shard"
 	"repro/internal/store"
 	"repro/internal/workload"
 )
@@ -27,116 +26,72 @@ import (
 //   - VFol inverts the friendship relation and *rescues* Q6, which is
 //     not controllable over the base relations at all (Theorem 6.1).
 //
-// The bench reports reads/op for the base plan vs the view plan on Q7,
-// reads/op for the rescued Q6, and the rescued-query rate over the
-// serving pack — before and after a randomized mixed commit stream that
-// the engine maintains the views through. It exits nonzero if the
-// optimizer picks a view plan with a strictly worse bound than the base
-// plan, if any rescued execution exceeds its static bound, or if any
-// view-served answer diverges from the base plan (Q7) or a naive
-// full-scan oracle (Q6).
-func viewsBench(quick bool, shards int) error {
+// It reports reads/op for the base plan vs the view plan on Q7, reads/op
+// for the rescued Q6, and the rescued-query rate over the serving pack —
+// before and after a randomized mixed commit stream that the engine
+// maintains the views through.
+func viewsBench(quick bool) ([]*bench.Table, error) {
 	persons, commits, ops := 10000, 600, 64
 	if quick {
 		persons, commits, ops = 2000, 200, 32
 	}
-	cfg := workload.DefaultConfig()
-	cfg.Persons = persons
-	cfg.Seed = 7
-	db, err := workload.Generate(cfg)
+	s, err := openSocial(persons, *shards)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	hot := make([]int64, ops)
-	for i := range hot {
-		hot[i] = int64((i * 7) % persons)
-	}
-	// Generated against the initial state, before the backend owns db.
-	stream := workload.MixedCommits(db, cfg, commits, hot, 99)
-
-	var st store.Backend
-	if shards > 0 {
-		st, err = shard.Open(db, workload.Access(cfg), shards)
-	} else {
-		st, err = store.Open(db, workload.Access(cfg))
-	}
-	if err != nil {
-		return err
-	}
+	hot := s.hotPersons(ops)
+	stream := s.commitStream(commits, hot)
 	// One engine serves and commits; a second, view-free engine over the
 	// same backend keeps the base plan available as the per-execution
 	// correctness and cost baseline.
-	eng, engBase := core.NewEngine(st), core.NewEngine(st)
+	eng, engBase := core.NewEngine(s.st), core.NewEngine(s.st)
 	ctx := context.Background()
 
 	q6, err := parseServing(backendtest.Q6Src)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	q7, err := parseServing(backendtest.Q7Src)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	// Base service: Q6 has no bounded plan at all; Q7 does.
 	if _, err := eng.Prepare(q6, query.NewVarSet("p")); !errors.Is(err, core.ErrNotControllable) {
-		return fmt.Errorf("Q6 over base relations: got %w, want ErrNotControllable", err)
+		return nil, fmt.Errorf("Q6 over base relations: got %w, want ErrNotControllable", err)
 	}
 	prep7Base, err := engBase.Prepare(q7, query.NewVarSet("p"))
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	if _, err := eng.CreateView(mustParseCQ(backendtest.VFolSrc),
-		access.Plain("VFol", []string{"p"}, cfg.MaxFriends+64, 1)); err != nil {
-		return err
+		access.Plain("VFol", []string{"p"}, s.cfg.MaxFriends+64, 1)); err != nil {
+		return nil, err
 	}
 	if _, err := eng.CreateView(mustParseCQ(backendtest.VNYCSrc)); err != nil {
-		return err
+		return nil, err
 	}
 	prep7View, err := eng.Prepare(q7, query.NewVarSet("p"))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(prep7View.Plan().Views) == 0 {
-		return fmt.Errorf("Q7: optimizer did not pick the view plan (views %v)", prep7View.Plan().Views)
+		return nil, fmt.Errorf("Q7: optimizer did not pick the view plan (views %v)", prep7View.Plan().Views)
 	}
 	if vb, bb := prep7View.Plan().Bound.Reads, prep7Base.Plan().Bound.Reads; vb > bb {
-		return fmt.Errorf("Q7: view plan bound %d strictly worse than base plan bound %d", vb, bb)
+		return nil, fmt.Errorf("Q7: view plan bound %d strictly worse than base plan bound %d", vb, bb)
 	}
 	prep6, err := eng.Prepare(q6, query.NewVarSet("p"))
 	if err != nil {
-		return fmt.Errorf("Q6 with views: %w", err)
+		return nil, fmt.Errorf("Q6 with views: %w", err)
 	}
 	if !prep6.Plan().Rescued {
-		return fmt.Errorf("Q6 plan not marked rescued")
+		return nil, fmt.Errorf("Q6 plan not marked rescued")
 	}
 
-	// measure executes prep over the hot bindings, returning total reads.
 	// Each view-served Q7 answer is checked against the base plan; a
 	// sample of rescued Q6 answers against the naive full-scan oracle.
-	measure := func(prep *core.PreparedQuery, check func(i int, fixed query.Bindings, ans *core.Answer) error) (int64, time.Duration, error) {
-		var reads int64
-		start := time.Now()
-		for i, p := range hot {
-			fixed := query.Bindings{"p": relation.Int(p)}
-			ans, err := prep.Exec(ctx, fixed, core.WithoutTrace())
-			if err != nil {
-				return 0, 0, err
-			}
-			if ans.Cost.TupleReads > prep.Plan().Bound.Reads {
-				return 0, 0, fmt.Errorf("%s p=%d: %d reads exceed static bound %d",
-					prep.Stmt().Name, p, ans.Cost.TupleReads, prep.Plan().Bound.Reads)
-			}
-			reads += ans.Cost.TupleReads
-			if check != nil {
-				if err := check(i, fixed, ans); err != nil {
-					return 0, 0, err
-				}
-			}
-		}
-		return reads, time.Since(start), nil
-	}
 	checkQ7 := func(i int, fixed query.Bindings, ans *core.Answer) error {
 		base, err := prep7Base.Exec(ctx, fixed, core.WithoutTrace())
 		if err != nil {
@@ -151,7 +106,7 @@ func viewsBench(quick bool, shards int) error {
 		if i >= 8 {
 			return nil // the full-scan oracle is O(|D|) per binding
 		}
-		naive, err := eval.Answers(eval.NewStoreSource(st, &store.ExecStats{}), q6, fixed)
+		naive, err := eval.Answers(eval.NewStoreSource(s.st, &store.ExecStats{}), q6, fixed)
 		if err != nil {
 			return err
 		}
@@ -160,37 +115,44 @@ func viewsBench(quick bool, shards int) error {
 		}
 		return nil
 	}
-
 	type row struct {
 		label string
-		bound int64
-		reads [2]float64 // before / after the commit stream
+		prep  *core.PreparedQuery
+		check func(i int, fixed query.Bindings, ans *core.Answer) error
+		reads [2]float64 // reads/op before / after the commit stream
 	}
 	rows := []*row{
-		{label: "Q7 base plan", bound: prep7Base.Plan().Bound.Reads},
-		{label: fmt.Sprintf("Q7 view plan %v", prep7View.Plan().Views), bound: prep7View.Plan().Bound.Reads},
-		{label: fmt.Sprintf("Q6 rescued %v", prep6.Plan().Views), bound: prep6.Plan().Bound.Reads},
+		{label: "Q7 base plan", prep: prep7Base},
+		{label: fmt.Sprintf("Q7 view plan %v", prep7View.Plan().Views), prep: prep7View, check: checkQ7},
+		{label: fmt.Sprintf("Q6 rescued %v", prep6.Plan().Views), prep: prep6, check: checkQ6},
 	}
+	// phase executes every row's plan over the hot bindings, holding each
+	// execution to its static bound.
 	phase := func(slot int) error {
-		if r, _, err := measure(prep7Base, nil); err != nil {
-			return err
-		} else {
-			rows[0].reads[slot] = float64(r) / float64(ops)
-		}
-		if r, _, err := measure(prep7View, checkQ7); err != nil {
-			return err
-		} else {
-			rows[1].reads[slot] = float64(r) / float64(ops)
-		}
-		if r, _, err := measure(prep6, checkQ6); err != nil {
-			return err
-		} else {
-			rows[2].reads[slot] = float64(r) / float64(ops)
+		for _, r := range rows {
+			var reads int64
+			for i, p := range hot {
+				fixed := bindP(p)
+				ans, err := r.prep.Exec(ctx, fixed, core.WithoutTrace())
+				if err != nil {
+					return err
+				}
+				if bound := r.prep.Plan().Bound.Reads; ans.Cost.TupleReads > bound {
+					return fmt.Errorf("%s p=%d: %d reads exceed static bound %d", r.prep.Stmt().Name, p, ans.Cost.TupleReads, bound)
+				}
+				reads += ans.Cost.TupleReads
+				if r.check != nil {
+					if err := r.check(i, fixed, ans); err != nil {
+						return err
+					}
+				}
+			}
+			r.reads[slot] = float64(reads) / float64(ops)
 		}
 		return nil
 	}
 	if err := phase(0); err != nil {
-		return err
+		return nil, err
 	}
 
 	// The commit stream: views maintained transactionally inside each
@@ -203,13 +165,13 @@ func viewsBench(quick bool, shards int) error {
 		res, err := eng.Commit(ctx, u)
 		commitTime += time.Since(start)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		maintained += res.ViewsMaintained
 		viewReads += res.ViewReads
 	}
 	if err := phase(1); err != nil {
-		return err
+		return nil, err
 	}
 
 	// Rescued rate over the serving pack: how many of the pack's queries
@@ -219,33 +181,29 @@ func viewsBench(quick bool, shards int) error {
 	for _, src := range pack {
 		q, err := parseServing(src)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		prep, err := eng.Prepare(q, query.NewVarSet("p"))
 		if err != nil {
-			return fmt.Errorf("%s: %w", q.Name, err)
+			return nil, fmt.Errorf("%s: %w", q.Name, err)
 		}
 		if prep.Plan().Rescued {
 			rescued++
 		}
 	}
 
-	backend := "single-node"
-	if shards > 0 {
-		backend = fmt.Sprintf("%d-shard", shards)
-	}
-	fmt.Printf("materialized-view serving on |D| = %d (%s backend): %d ops per plan, %d commits\n\n",
-		st.Size(), backend, ops, len(stream))
-	fmt.Printf("%-28s %12s %18s %18s\n", "plan", "bound", "reads/op (fresh)", "reads/op (after)")
+	t := bench.NewTable("views",
+		fmt.Sprintf("materialized-view serving on |D| = %d (%s backend): %d ops per plan, %d commits",
+			s.st.Size(), s.backend, ops, len(stream)),
+		"plan", "bound", "reads/op (fresh)", "reads/op (after)")
 	for _, r := range rows {
-		fmt.Printf("%-28s %12d %18.1f %18.1f\n", r.label, r.bound, r.reads[0], r.reads[1])
+		t.Row(r.label, r.prep.Plan().Bound.Reads, r.reads[0], r.reads[1])
 	}
-	fmt.Printf("\ncommit stream: %d view maintenances, %d maintenance reads (%.1f/commit), %s/commit\n",
+	t.Notes = fmt.Sprintf("commit stream: %d view maintenances, %d maintenance reads (%.1f/commit), %s/commit. Rescued-query rate over the %d-query pack: %d/%d; every rescued execution stayed within its bound.",
 		maintained, viewReads, float64(viewReads)/float64(len(stream)),
-		(commitTime / time.Duration(len(stream))).Round(time.Microsecond))
-	fmt.Printf("rescued-query rate over the %d-query pack: %d/%d (%.0f%%) — every rescued execution stayed within its bound\n",
-		len(pack), rescued, len(pack), 100*float64(rescued)/float64(len(pack)))
-	return nil
+		(commitTime / time.Duration(len(stream))).Round(time.Microsecond),
+		len(pack), rescued, len(pack))
+	return []*bench.Table{t}, nil
 }
 
 func mustParseCQ(src string) *query.CQ {

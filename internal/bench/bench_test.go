@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"io"
 	"strings"
 	"testing"
 )
@@ -31,14 +30,5 @@ func TestAllExperimentsQuick(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestRunAll(t *testing.T) {
-	if testing.Short() {
-		t.Skip("quick mode only")
-	}
-	if err := RunAll(io.Discard, true); err != nil {
-		t.Fatal(err)
 	}
 }

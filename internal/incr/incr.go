@@ -1,114 +1,24 @@
-// Package incr implements incremental scale independence (Section 5 of the
-// paper): answering Q on demand after updates ΔD by accessing a bounded
-// number of base tuples, given the previously computed answer Q(D).
+// Package incr implements the decision side of incremental scale
+// independence (Section 5 of the paper): DecideDeltaQSI (∆QSI, Theorems
+// 5.1/5.2) is a definition-level decider for small instances — for every
+// candidate update, search for a witness D_Q ⊆ D of size ≤ M from which
+// the exact answer delta is computable.
 //
-// Two layers are provided:
-//
-//   - CQMaintainer: the constructive side (Corollary 5.3, Proposition 5.5,
-//     Example 5.6). The maintenance machinery itself — per-occurrence
-//     remainder plans compiled through the physical plan IR, bounded
-//     deletion re-verification, N-derived per-delta read bounds enforced
-//     at runtime — lives in internal/core (core.Maintainer), where the
-//     serving engine's Commit pipeline and the Live subscription API
-//     (PreparedQuery.Watch) drive it; CQMaintainer is the standalone
-//     wrapper keeping this package's historical full-head-tuple API.
-//
-//   - DecideDeltaQSI: the decision side (∆QSI, Theorems 5.1/5.2), a
-//     definition-level decider for small instances: for every candidate
-//     update, search for a witness D_Q ⊆ D of size ≤ M from which the
-//     exact delta is computable.
+// The constructive side (Corollary 5.3, Proposition 5.5, Example 5.6) is
+// core.Maintainer: per-occurrence maintenance plans compiled through the
+// physical plan IR, bounded deletion re-verification, and N-derived
+// per-delta read bounds enforced at runtime. The engine's Commit pipeline
+// and the Live subscription API (PreparedQuery.Watch) drive it.
 package incr
 
 import (
-	"context"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/qdsi"
 	"repro/internal/query"
 	"repro/internal/relation"
 )
-
-// CQMaintainer incrementally maintains Q(ā, D) for a conjunctive query
-// with fixed values ā for a controlling set x̄ — a standalone wrapper over
-// core.Maintainer that reports answers as full head tuples (fixed values
-// included), the historical shape of this package.
-//
-// A CQMaintainer is NOT safe for concurrent use: Apply must not race
-// Answers/Len/Contains readers. Concurrent serving wants the engine's
-// subscription API instead — PreparedQuery.Watch returns a *core.Live
-// handle whose internal locking serializes maintenance (driven by
-// Engine.Commit) against Snapshot and Deltas readers.
-type CQMaintainer struct {
-	m *core.Maintainer
-}
-
-// NewCQMaintainer checks the conditions of Proposition 5.5 and compiles
-// the maintenance plans through the engine's physical plan layer. The
-// initial answer Q(ā, D) is computed by naive evaluation (the paper's
-// offline precomputation step). Failure wraps core.ErrWatchNotMaintainable
-// when the query is not incrementally scale-independent.
-func NewCQMaintainer(eng *core.Engine, q *query.CQ, fixed query.Bindings) (*CQMaintainer, error) {
-	m, err := core.NewMaintainer(eng, q, fixed)
-	if err != nil {
-		return nil, fmt.Errorf("incr: %w", err)
-	}
-	return &CQMaintainer{m: m}, nil
-}
-
-// Answers returns a snapshot of the maintained answer set as full head
-// tuples (fixed variables included). The copy is the caller's to keep:
-// mutating it cannot corrupt the maintainer's internal state, and it stays
-// stable across later Apply calls. Use Len/Contains for O(1) probes that
-// skip the copy.
-func (c *CQMaintainer) Answers() *relation.TupleSet {
-	rem := c.m.Answers()
-	out := relation.NewTupleSet(rem.Len())
-	for _, t := range rem.Tuples() {
-		out.Add(c.m.Expand(t))
-	}
-	return out
-}
-
-// Len returns the current number of maintained answers.
-func (c *CQMaintainer) Len() int { return c.m.Len() }
-
-// Contains reports whether the full head tuple t is currently an answer:
-// the fixed positions must carry ā and the remaining positions a
-// maintained answer.
-func (c *CQMaintainer) Contains(t relation.Tuple) bool {
-	if len(t) != len(c.m.Head()) {
-		return false
-	}
-	rem := c.m.Project(t)
-	return c.m.Contains(rem) && c.m.Expand(rem).Equal(t)
-}
-
-// SupportsDeletions reports whether deletion maintenance is available
-// (Proposition 5.5(2)'s condition held at construction).
-func (c *CQMaintainer) SupportsDeletions() bool { return c.m.SupportsDeletions() }
-
-// Apply maintains the answers under u, committing u through the engine's
-// write pipeline (Engine.Commit: versioned apply, registered Live
-// watchers notified, update volume tracked). It returns the answer delta
-// as full head tuples (ins disjoint from the old answers, del contained
-// in them). Base accesses go through the counted store; the measured
-// reads per update are bounded by — and budgeted at — the compiled plans'
-// static bounds times |ΔD| (core.Maintainer.DeltaBound).
-func (c *CQMaintainer) Apply(u *relation.Update) (ins, del []relation.Tuple, err error) {
-	ri, rd, _, err := c.m.Apply(context.Background(), u)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, t := range ri {
-		ins = append(ins, c.m.Expand(t))
-	}
-	for _, t := range rd {
-		del = append(del, c.m.Expand(t))
-	}
-	return ins, del, nil
-}
 
 // DecideDeltaQSI decides the ∆QSI question on a concrete instance: for
 // every update in candidates (each of size ≤ k by the caller's choice),
