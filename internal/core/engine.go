@@ -82,7 +82,7 @@ type OptimizerMode int
 const (
 	// OptimizerOff compiles the analysis-emitted derivation 1:1: conjunct
 	// order and access entries exactly as analysis chose them. The
-	// baseline for reordering experiments (sibench -reorder).
+	// baseline for reordering experiments (the sibench reorder gate).
 	OptimizerOff OptimizerMode = iota
 	// OptimizerOn (the default) reorders conjunct operators greedy
 	// min-bound-first using the access schema's N bounds, re-selects

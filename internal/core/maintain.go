@@ -14,8 +14,7 @@ import (
 // Maintainer incrementally maintains the answers of a conjunctive query
 // with fixed values ā for a controlling set x̄ — the constructive side of
 // the paper's incremental scale independence result (Corollary 5.3,
-// Proposition 5.5), absorbed from internal/incr and rewritten onto the
-// physical plan IR:
+// Proposition 5.5), on the physical plan IR:
 //
 //   - one maintenance plan per atom occurrence: the occurrence is unified
 //     with each delta tuple and the *remainder* of the body — controlled
@@ -38,7 +37,7 @@ import (
 //
 // Answers are kept over the *remaining* head (head terms not fixed by ā),
 // matching PreparedQuery.Exec output; Expand/Project convert to and from
-// full-head tuples for callers that want ā included (internal/incr).
+// full-head tuples for callers that want ā included.
 //
 // A Maintainer is NOT safe for concurrent use: Apply must not race
 // Answers. The concurrency-safe wrapper is the *Live handle, whose
@@ -130,8 +129,16 @@ func (m *Maintainer) seed(ts *relation.TupleSet) { m.answers = ts }
 
 // buildMaintPlans compiles the per-occurrence and verification plans.
 func buildMaintPlans(eng *Engine, q *query.CQ, fixed query.Bindings) (*Maintainer, error) {
+	orig := q.Head
 	if len(q.Eqs) > 0 {
-		applied, ok := q.ApplyEqs()
+		// ā joins the equalities as x = a, so a fixed variable that
+		// elimination rewrites to a constant or to another variable still
+		// pins its value.
+		eqs := append([]*query.Eq(nil), q.Eqs...)
+		for _, v := range fixed.Vars().Sorted() {
+			eqs = append(eqs, query.NewEq(query.Var(v), query.Const(fixed[v])))
+		}
+		applied, ok := (&query.CQ{Name: q.Name, Head: q.Head, Atoms: q.Atoms, Eqs: eqs}).ApplyEqs()
 		if !ok {
 			return nil, fmt.Errorf("core: query %s is unsatisfiable", q.Name)
 		}
@@ -145,7 +152,7 @@ func buildMaintPlans(eng *Engine, q *query.CQ, fixed query.Bindings) (*Maintaine
 		plans:    make(map[string][]occPlan),
 		bodyRels: make(map[string]bool, len(q.Atoms)),
 	}
-	m.initHead()
+	m.initHead(orig)
 	an := eng.An
 	mode := eng.Optimizer()
 	fixedVars := fixed.Vars()
@@ -198,20 +205,22 @@ func newReexecMaintainer(p *PreparedQuery, fixed query.Bindings) *Maintainer {
 		bodyRels: make(map[string]bool),
 	}
 	m.head = query.Vars(p.q.Head...)
-	m.initHead()
+	m.initHead(m.head)
 	collectRels(p.q.Body, m.bodyRels)
 	return m
 }
 
-// initHead splits the full head into fixed and remaining terms.
-func (m *Maintainer) initHead() {
-	for i, h := range m.head {
+// initHead splits the full head into fixed and remaining terms. Fixed
+// positions are read off orig, the head as written, because equality
+// elimination may have replaced a fixed variable in m.head.
+func (m *Maintainer) initHead(orig []query.Term) {
+	for i, h := range orig {
 		if h.IsVar() {
 			if _, ok := m.fixed[h.Name()]; ok {
 				continue
 			}
 		}
-		m.rem = append(m.rem, h)
+		m.rem = append(m.rem, m.head[i])
 		m.remPos = append(m.remPos, i)
 	}
 }
@@ -252,12 +261,15 @@ func (m *Maintainer) Expand(t relation.Tuple) relation.Tuple {
 	out := make(relation.Tuple, len(m.head))
 	j := 0
 	for i, h := range m.head {
-		if j < len(m.remPos) && m.remPos[j] == i {
+		switch {
+		case j < len(m.remPos) && m.remPos[j] == i:
 			out[i] = t[j]
 			j++
-			continue
+		case h.IsVar():
+			out[i] = m.fixed[h.Name()]
+		default:
+			out[i] = h.Value()
 		}
-		out[i] = m.fixed[h.Name()]
 	}
 	return out
 }
@@ -465,10 +477,7 @@ func (m *Maintainer) postApply(ctx context.Context, es *store.ExecStats, u *rela
 // bound M) and folds the difference into the answer set.
 func (m *Maintainer) resync(ctx context.Context, es *store.ExecStats) (ins, del []relation.Tuple, err error) {
 	rt := plan.BackendRuntime{Ctx: ctx, B: m.eng.DB, Es: es}
-	head := make([]string, len(m.rem))
-	for i, h := range m.rem {
-		head[i] = h.Name()
-	}
+	head := remainingHead(m.reexec.q.Head, m.fixed)
 	got := relation.NewTupleSet(m.answers.Len())
 	for t, err := range projectSeq(m.reexec.plan.Root.Stream(rt, m.fixed), head, m.fixed, m.reexec.q.Name) {
 		if err != nil {

@@ -261,3 +261,78 @@ func TestMaintainerAnswersSnapshotIsolated(t *testing.T) {
 		t.Fatalf("snapshot moved with the maintainer: %d, want %d", snap2.Len(), want)
 	}
 }
+
+// An equality on a fixed head variable must not leak into the maintained
+// tuples' shape nor lift the restriction the fixed value imposes: the
+// standalone Maintainer and the Watch handle both stay equal to Exec after
+// every commit, whether the equality ties the variable to a constant or to
+// another variable.
+func TestMaintainerEqualityOnFixedVariable(t *testing.T) {
+	cat := mustCatalog(t, `
+relation R(a, b)
+relation U(a, b)
+access R(a -> *) limit 10 time 1
+access U(a -> *) limit 10 time 1
+`)
+	commits := []*relation.Update{
+		relation.NewUpdate().Insert("R", relation.Ints(1, 5)),
+		relation.NewUpdate().Insert("R", relation.Ints(2, 7)).Insert("U", relation.Ints(2, 7)),
+		relation.NewUpdate().Insert("U", relation.Ints(1, 5)).Insert("R", relation.Ints(1, 1)),
+		relation.NewUpdate().Delete("R", relation.Ints(1, 2)).Insert("U", relation.Ints(1, 7)),
+		relation.NewUpdate().Delete("U", relation.Ints(1, 5)).Delete("R", relation.Ints(2, 7)),
+		relation.NewUpdate().Delete("R", relation.Ints(1, 1)).Insert("R", relation.Ints(1, 7)),
+	}
+	for _, src := range []string{
+		"Q(a, b) := R(a, b) and a = 1",
+		"Q(a, b) := exists c (R(a, b) and U(c, b) and a = c)",
+		"Q(a, b) := R(a, b) and a = b",
+	} {
+		t.Run(src, func(t *testing.T) {
+			ctx := context.Background()
+			db := relation.NewDatabase(cat.Relational)
+			db.MustInsert("R", relation.Ints(1, 2))
+			db.MustInsert("R", relation.Ints(2, 3))
+			db.MustInsert("U", relation.Ints(1, 2))
+			eng := NewEngine(store.MustOpen(db, cat.Access))
+			q := mustQ(t, src)
+			fixed := query.Bindings{"a": relation.Int(1)}
+			prep, err := eng.Prepare(q, fixed.Vars())
+			if err != nil {
+				t.Fatal(err)
+			}
+			live, err := prep.Watch(ctx, fixed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer live.Close()
+			cq, ok := query.AsCQ(q)
+			if !ok {
+				t.Fatal("not a CQ")
+			}
+			m, err := NewMaintainer(eng, cq, fixed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(step int) {
+				t.Helper()
+				want, err := prep.Exec(ctx, fixed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := live.Snapshot(); !got.Equal(want.Tuples) {
+					t.Fatalf("step %d: snapshot %v, Exec %v", step, got.Tuples(), want.Tuples.Tuples())
+				}
+				if got := m.Answers(); !got.Equal(want.Tuples) {
+					t.Fatalf("step %d: maintainer %v, Exec %v", step, got.Tuples(), want.Tuples.Tuples())
+				}
+			}
+			check(0)
+			for i, u := range commits {
+				if _, _, _, err := m.Apply(ctx, u); err != nil {
+					t.Fatalf("step %d: %v", i+1, err)
+				}
+				check(i + 1)
+			}
+		})
+	}
+}

@@ -1,6 +1,6 @@
 package core
 
-// Property test for the cost-based optimizer (ISSUE 4): over randomized
+// Property test for the cost-based optimizer: over randomized
 // conjunctive queries (with optional safe negation) on the social schema,
 // the optimizer-on and optimizer-off engines must produce identical
 // answer sets, the optimized execution must never charge more TupleReads

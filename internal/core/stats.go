@@ -7,8 +7,7 @@ import "repro/internal/store"
 // the write path's sequence numbers and committed volume, and the live
 // subscription population. Engine.Stats assembles it from the engine's
 // atomic counters without stopping serving; the HTTP tier exposes it at
-// GET /statusz (expvar-compatible JSON) and sibench -serve prints it
-// after a load run.
+// GET /statusz (expvar-compatible JSON).
 type EngineStats struct {
 	// Size is the backend's current |D| (total stored tuples).
 	Size int `json:"size"`

@@ -1,9 +1,14 @@
 // Package ra implements the relational algebra side of Section 5 of the
 // paper: expressions over named attributes, the RAA_A rule system of
 // Theorem 5.4 (scale independence and incremental scale independence of
-// σ_X=ā(E)), and an incremental maintainer in the style of Griffin, Libkin
-// and Trickey [14] whose deltas satisfy ∇E ⊆ E and ∆E ∩ E = ∅, as the
-// decrement/increment rules assume.
+// σ_X=ā(E)), LowerQuery onto the query IR, and Eval, the reference
+// evaluator.
+//
+// Maintenance belongs to the engine: a lowered expression is watched
+// through core.Engine like any other query. SPJ bodies take the engine's
+// delta plans, whose deltas satisfy the Griffin–Libkin–Trickey [14]
+// invariants ∇E ⊆ E and ∆E ∩ E = ∅; other bodies are maintained by
+// bounded re-execution.
 //
 // Joins are natural joins on shared attribute names; selections are
 // conjunctions of (in)equality predicates; set semantics throughout.
@@ -334,43 +339,8 @@ func positions(attrs []string) map[string]int {
 	return out
 }
 
-// Relations lists the base relation names used in e.
-func Relations(e Expr) []string {
-	seen := make(map[string]bool)
-	var out []string
-	var walk func(Expr)
-	walk = func(x Expr) {
-		switch n := x.(type) {
-		case *Rel:
-			if !seen[n.Schema.Name] {
-				seen[n.Schema.Name] = true
-				out = append(out, n.Schema.Name)
-			}
-		case *Select:
-			walk(n.E)
-		case *Project:
-			walk(n.E)
-		case *Rename:
-			walk(n.E)
-		case *Union:
-			walk(n.L)
-			walk(n.R)
-		case *Diff:
-			walk(n.L)
-			walk(n.R)
-		case *Join:
-			walk(n.L)
-			walk(n.R)
-		default:
-			panic(fmt.Sprintf("ra: unknown expression %T", x))
-		}
-	}
-	walk(e)
-	return out
-}
-
-// Eval evaluates e over the database by full scans: the reference
-// semantics used to validate the incremental maintainer.
+// Eval evaluates e over the database by full scans: the reference oracle
+// that maintained answers are checked against.
 func Eval(e Expr, db *relation.Database) (*relation.TupleSet, error) {
 	switch n := e.(type) {
 	case *Rel:

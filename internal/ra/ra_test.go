@@ -1,10 +1,16 @@
 package ra
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/access"
+	"repro/internal/core"
+	"repro/internal/eval"
 	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/store"
@@ -225,162 +231,151 @@ func buildExprCorpus(s *relation.Schema) []Expr {
 	}
 }
 
-// The incremental maintainer must agree with from-scratch evaluation after
-// arbitrary random update sequences, and its deltas must satisfy the GLT
-// invariants (∇ ⊆ old, ∆ ∩ old = ∅).
-func TestMaintainerAgreesWithEvalQuick(t *testing.T) {
+// The lowered query answers like the expression on a fixed database, and
+// exactly the select-project-join expressions lower to conjunctive bodies.
+// The join of two projections that drop the same attribute needs two
+// distinct existential variables once the body is flattened.
+func TestLowerQueryAgreesWithEval(t *testing.T) {
 	s := testSchema()
-	acc := access.New(s)
-	acc.MustAdd(access.Plain("R", []string{"a"}, 100, 1))
-	acc.MustAdd(access.Plain("S", []string{"b"}, 100, 1))
-
-	rng := rand.New(rand.NewSource(17))
-	for _, e := range buildExprCorpus(s) {
-		db := relation.NewDatabase(s)
-		for i := 0; i < 8; i++ {
-			db.Insert("R", relation.Ints(int64(rng.Intn(4)), int64(rng.Intn(4)))) //nolint:errcheck
-			db.Insert("S", relation.Ints(int64(rng.Intn(4)), int64(rng.Intn(4)))) //nolint:errcheck
-			db.Insert("T", relation.Ints(int64(rng.Intn(4)), int64(rng.Intn(4)))) //nolint:errcheck
+	corpus := append(buildExprCorpus(s),
+		NewJoin(MustProject(relExpr(s, "R"), "a"), MustProject(relExpr(s, "T"), "a")))
+	db := relation.NewDatabase(s)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 12; i++ {
+		for _, rel := range []string{"R", "S", "T"} {
+			db.Insert(rel, relation.Ints(int64(rng.Intn(4)), int64(rng.Intn(4)))) //nolint:errcheck
 		}
-		st := store.MustOpen(db, acc)
-		maint, err := NewMaintainer(st, e)
+	}
+	for _, e := range corpus {
+		q, err := LowerQuery("E", e)
 		if err != nil {
 			t.Fatalf("%s: %v", e, err)
 		}
-		for step := 0; step < 40; step++ {
-			u := randomUpdate(rng, st.Data())
-			if u.Size() == 0 {
+		got, err := eval.Answers(eval.DBSource{DB: db}, q, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", e, err)
+		}
+		want, err := Eval(e, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("%s lowered to %s: %v, Eval %v", e, q, got.Tuples(), want.Tuples())
+		}
+		str := e.String()
+		spj := !strings.ContainsAny(str, "∪−") && !strings.Contains(str, "!=")
+		if _, isCQ := query.AsCQ(q); isCQ != spj {
+			t.Errorf("%s lowered to %s: AsCQ = %v", e, q, isCQ)
+		}
+	}
+}
+
+// Every corpus expression, lowered and watched at a = 1 under two access
+// schemas, is accepted by the engine exactly when Theorem 5.4(1) says
+// σ_a=1(E) is scale-independent, and an accepted watch stays equal to
+// ra.Eval over random commits with deltas that satisfy the GLT invariants
+// (∇ ⊆ old, ∆ ∩ old = ∅) and replay to each commit's snapshot.
+func TestLoweredCorpusWatchAgreesWithEval(t *testing.T) {
+	s := testSchema()
+	x := query.NewVarSet("a")
+	fixed := query.Bindings{"a": relation.Int(1)}
+	for _, keyed := range [][]string{{"R", "S"}, {"R", "S", "T"}} {
+		acc := access.New(s)
+		for _, rel := range keyed {
+			rs, _ := s.Rel(rel)
+			acc.MustAdd(access.Plain(rel, rs.Attrs[:1], 8, 1))
+		}
+		name := fmt.Sprintf("entries on %v", keyed)
+		rng := rand.New(rand.NewSource(17))
+		for _, e := range buildExprCorpus(s) {
+			label := name + " " + e.String()
+			q, err := LowerQuery("E", e)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			db := relation.NewDatabase(s)
+			for i := 0; i < 8; i++ {
+				for _, rel := range []string{"R", "S", "T"} {
+					db.Insert(rel, relation.Ints(int64(rng.Intn(4)), int64(rng.Intn(4)))) //nolint:errcheck
+				}
+			}
+			st := store.MustOpen(db, acc)
+			eng := core.NewEngine(st)
+			ctx := context.Background()
+			live, err := eng.WatchContext(ctx, q, fixed, core.WithReexec())
+			si, serr := ScaleIndependent(e, acc, x)
+			if serr != nil {
+				t.Fatal(serr)
+			}
+			if si != (err == nil) {
+				t.Fatalf("%s: RAA says scale-independent=%v, watch error %v", label, si, err)
+			}
+			if err != nil {
+				if !errors.Is(err, core.ErrNotControllable) {
+					t.Fatalf("%s: refusal %v does not wrap ErrNotControllable", label, err)
+				}
 				continue
 			}
-			before := maint.Result().Clone()
-			delta, err := maint.Apply(u)
-			if err != nil {
-				t.Fatalf("%s step %d: %v", e, step, err)
-			}
-			// GLT invariants.
-			for _, tu := range delta.Del {
-				if !before.Contains(tu) {
-					t.Fatalf("%s step %d: ∇ tuple %v not in old result", e, step, tu)
+			var rest []string
+			for _, a := range e.Attrs() {
+				if a != "a" {
+					rest = append(rest, a)
 				}
 			}
-			for _, tu := range delta.Ins {
-				if before.Contains(tu) {
-					t.Fatalf("%s step %d: ∆ tuple %v already in old result", e, step, tu)
+			selected := MustProject(MustSelect(e, EqConst("a", relation.Int(1))), rest...)
+			initial := live.Snapshot()
+			snaps := make(map[int64]*relation.TupleSet)
+			for step := 0; step < 40; step++ {
+				u := relation.NewUpdate()
+				for _, rel := range []string{"R", "S", "T"} {
+					if tu := relation.Ints(int64(rng.Intn(4)), int64(rng.Intn(4))); rng.Intn(2) == 0 && !st.Data().Rel(rel).Contains(tu) {
+						u.Insert(rel, tu)
+					}
+					if ts := st.Data().Rel(rel).Tuples(); rng.Intn(3) == 0 && len(ts) > 0 {
+						u.Delete(rel, ts[rng.Intn(len(ts))])
+					}
+				}
+				if u.Size() == 0 {
+					continue
+				}
+				res, err := eng.Commit(ctx, u)
+				if err != nil {
+					t.Fatalf("%s step %d: %v", label, step, err)
+				}
+				want, err := Eval(selected, st.Data())
+				if err != nil {
+					t.Fatal(err)
+				}
+				snaps[res.Seq] = live.Snapshot()
+				if !snaps[res.Seq].Equal(want) {
+					t.Fatalf("%s step %d: watched %v, Eval %v", label, step, snaps[res.Seq].Tuples(), want.Tuples())
 				}
 			}
-			// Exactness: maintained result equals recomputation.
-			want, err := Eval(e, st.Data())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !maint.Result().Equal(want) {
-				t.Fatalf("%s step %d: maintained %d tuples, recomputed %d",
-					e, step, maint.Result().Len(), want.Len())
-			}
-			// Applying the delta to the old result gives the new result.
-			applied := before.Clone()
-			for _, tu := range delta.Del {
-				applied.Remove(tu)
-			}
-			for _, tu := range delta.Ins {
-				applied.Add(tu)
-			}
-			if !applied.Equal(want) {
-				t.Fatalf("%s step %d: old ⊕ ∆ ≠ new", e, step)
-			}
-		}
-	}
-}
-
-// randomUpdate builds a small valid update: random insertions of fresh
-// tuples and deletions of existing ones.
-func randomUpdate(rng *rand.Rand, db *relation.Database) *relation.Update {
-	u := relation.NewUpdate()
-	rels := []string{"R", "S", "T"}
-	for _, rel := range rels {
-		if rng.Intn(2) == 0 {
-			tu := relation.Ints(int64(rng.Intn(4)), int64(rng.Intn(4)))
-			if !db.Rel(rel).Contains(tu) {
-				u.Insert(rel, tu)
+			live.Close()
+			state := initial
+			for d, err := range live.Deltas() {
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				for _, tu := range d.Del {
+					if !state.Contains(tu) {
+						t.Fatalf("%s seq %d: ∇ tuple %v not in old answers", label, d.Seq, tu)
+					}
+					state.Remove(tu)
+				}
+				for _, tu := range d.Ins {
+					if state.Contains(tu) {
+						t.Fatalf("%s seq %d: ∆ tuple %v already in old answers", label, d.Seq, tu)
+					}
+					state.Add(tu)
+				}
+				if !state.Equal(snaps[d.Seq]) {
+					t.Fatalf("%s seq %d: old ⊕ Δ ≠ new", label, d.Seq)
+				}
+				if d.Cost.TupleReads > d.Bound {
+					t.Fatalf("%s seq %d: %d reads over bound %d", label, d.Seq, d.Cost.TupleReads, d.Bound)
+				}
 			}
 		}
-		if rng.Intn(3) == 0 && db.Rel(rel).Len() > 0 {
-			ts := db.Rel(rel).Tuples()
-			u.Delete(rel, ts[rng.Intn(len(ts))])
-		}
-	}
-	return u
-}
-
-// Incremental maintenance of a controlled join must touch a bounded number
-// of base tuples per update, independent of |D|.
-func TestMaintainerBoundedBaseAccess(t *testing.T) {
-	s := testSchema()
-	acc := access.New(s)
-	acc.MustAdd(access.Plain("R", []string{"a"}, 3, 1))
-	acc.MustAdd(access.Plain("S", []string{"b"}, 3, 1))
-
-	var readsPerUpdate []int64
-	for _, n := range []int{50, 200, 800} {
-		db := relation.NewDatabase(s)
-		for i := 0; i < n; i++ {
-			db.MustInsert("R", relation.Ints(int64(i), int64(i)))
-			db.MustInsert("S", relation.Ints(int64(i), int64(2*i)))
-		}
-		st := store.MustOpen(db, acc)
-		join := NewJoin(relExpr(s, "R"), relExpr(s, "S"))
-		maint, err := NewMaintainer(st, join)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.ResetCounters()
-		u := relation.NewUpdate().Insert("R", relation.Ints(int64(n+1), 5))
-		if _, err := maint.Apply(u); err != nil {
-			t.Fatal(err)
-		}
-		readsPerUpdate = append(readsPerUpdate, st.Counters().TupleReads)
-	}
-	for i, r := range readsPerUpdate {
-		if r > 10 {
-			t.Errorf("size step %d: %d base reads per update, want bounded", i, r)
-		}
-	}
-	// Flatness: the largest database must not cost more than the smallest
-	// plus slack.
-	if readsPerUpdate[2] > readsPerUpdate[0]+3 {
-		t.Errorf("base reads grew with |D|: %v", readsPerUpdate)
-	}
-}
-
-// Without a usable access entry the maintainer falls back to counted
-// scans: cost grows with |D|, which is what "not incrementally
-// scale-independent" looks like in the counters.
-func TestMaintainerUnboundedWithoutAccess(t *testing.T) {
-	s := testSchema()
-	acc := access.New(s)
-	acc.ImplicitMembership = true // membership probes fine; no key on S
-
-	var reads []int64
-	for _, n := range []int{50, 400} {
-		db := relation.NewDatabase(s)
-		for i := 0; i < n; i++ {
-			db.MustInsert("R", relation.Ints(int64(i), 7))
-			db.MustInsert("S", relation.Ints(7, int64(i)))
-		}
-		st := store.MustOpen(db, acc)
-		join := NewJoin(relExpr(s, "R"), relExpr(s, "S"))
-		maint, err := NewMaintainer(st, join)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.ResetCounters()
-		u := relation.NewUpdate().Insert("R", relation.Ints(int64(n+1), 7))
-		if _, err := maint.Apply(u); err != nil {
-			t.Fatal(err)
-		}
-		reads = append(reads, st.Counters().TupleReads)
-	}
-	if reads[1] <= reads[0] {
-		t.Errorf("expected scan-driven growth, got %v", reads)
 	}
 }

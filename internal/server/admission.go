@@ -37,7 +37,7 @@ type tenantState struct {
 	spent     int64
 	windowEnd time.Time
 
-	// Lifetime counters, surfaced at /statusz and by sibench -serve.
+	// Lifetime counters, surfaced at /statusz.
 	admitted            int64
 	rejectedBound       int64
 	rejectedBudget      int64
