@@ -2,8 +2,9 @@ GO ?= go
 
 .PHONY: check build test race vet staticcheck sivet fuzz-smoke bench smoke bench-smoke overhead-gate
 
-## check: the CI gate — vet, build, and race-enabled tests.
-check: vet build race
+## check: the CI gate — vet, build, the sivet project analyzers and
+## race-enabled tests.
+check: vet build sivet race
 
 build:
 	$(GO) build ./...
@@ -32,9 +33,10 @@ bench:
 smoke:
 	$(GO) run ./cmd/sibench -quick $(GATES)
 
-## bench-smoke: the CI benchmark gate — every benchmark runs once.
+## bench-smoke: the CI benchmark gate — every benchmark runs once, with
+## allocation reporting.
 bench-smoke:
-	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+	$(GO) test -run=NONE -bench=. -benchtime=1x -benchmem ./...
 
 ## staticcheck: run honnef.co/go/tools if installed (CI runs it always).
 staticcheck:

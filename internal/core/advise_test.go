@@ -1,10 +1,11 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/eval"
-	"repro/internal/parser"
 	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/store"
@@ -138,58 +139,68 @@ func TestAdviseNoopWhenAlreadyControlled(t *testing.T) {
 	}
 }
 
-func TestAnalyzeUCQ(t *testing.T) {
+// TestPrepareUnion: a union written as an or-bodied query is analyzed by
+// the disjunction rule and runs through the prepared-query path.
+func TestPrepareUnion(t *testing.T) {
 	cat := mustCatalog(t, `
 relation R(a, b)
 relation S(a, b)
 access R(a -> *) limit 5 time 1
 access S(a -> *) limit 5 time 1
 `)
-	u, err := parser.ParseUCQ("Q(x, y) :- R(x, y) union Q(x, y) :- S(x, y)")
+	q := mustQ(t, "Q(x, y) := R(x, y) or S(x, y)")
+	res, err := NewAnalyzer(cat.Access).AnalyzeQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	an := NewAnalyzer(cat.Access)
-	res, err := an.AnalyzeUCQ(u)
-	if err != nil {
-		t.Fatal(err)
+	// Both disjuncts keyed on the first head variable: the union is
+	// controlled by {x}.
+	if fam := res.Family(); len(fam) != 1 || !fam[0].Equal(query.NewVarSet("x")) {
+		t.Fatalf("union family = %v, want [{x}]", fam)
 	}
-	// Both disjuncts keyed on the first head var: the union is controlled
-	// by {u_h0}.
-	if !res.Family().Controls(query.NewVarSet(res.Head[0])) {
-		t.Fatalf("union family = %v", res.Family())
-	}
-	// Execution agrees with naive UCQ evaluation.
+	// Execution agrees with the naive evaluation of the union.
 	db := relation.NewDatabase(cat.Relational)
 	db.MustInsert("R", relation.Ints(1, 10))
 	db.MustInsert("R", relation.Ints(2, 20))
 	db.MustInsert("S", relation.Ints(1, 30))
 	st := store.MustOpen(db, cat.Access)
-	got, err := ExecUCQ(st, res, query.Bindings{res.Head[0]: relation.Int(1)})
+	p, err := NewEngine(st).Prepare(q, query.NewVarSet("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := relation.NewTupleSet(0)
-	want.Add(relation.Ints(1, 10))
-	want.Add(relation.Ints(1, 30))
-	if !got.Equal(want) {
-		t.Fatalf("ExecUCQ = %v", got.Tuples())
+	fixed := query.Bindings{"x": relation.Int(1)}
+	rows, err := p.Query(context.Background(), fixed)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A disjunct keyed differently kills the {u_h0} control.
+	got := drainAll(t, rows)
+	want, err := eval.Answers(eval.DBSource{DB: db}, q, fixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != 2 || !got.Equal(want) {
+		t.Fatalf("union answers = %v, naive %v", got.Tuples(), want.Tuples())
+	}
+	// A disjunct keyed differently kills the {x} control: the union needs
+	// both head variables.
 	cat2 := mustCatalog(t, `
 relation R(a, b)
 relation S(a, b)
 access R(a -> *) limit 5 time 1
 access S(b -> *) limit 5 time 1
 `)
-	res2, err := NewAnalyzer(cat2.Access).AnalyzeUCQ(u)
+	res2, err := NewAnalyzer(cat2.Access).AnalyzeQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Family().Controls(query.NewVarSet(res2.Head[0])) {
-		t.Fatalf("union should need both head vars; family %v", res2.Family())
+	if fam := res2.Family(); len(fam) != 1 || !fam[0].Equal(query.NewVarSet("x", "y")) {
+		t.Fatalf("union family = %v, want [{x, y}]", fam)
 	}
-	if !res2.Family().Controls(query.NewVarSet(res2.Head...)) {
-		t.Fatalf("union should be controlled by the full head; family %v", res2.Family())
+	eng2 := NewEngine(store.MustOpen(relation.NewDatabase(cat2.Relational), cat2.Access))
+	if _, err := eng2.Prepare(q, query.NewVarSet("x")); !errors.Is(err, ErrNotControllable) {
+		t.Fatalf("Prepare {x} under S(b -> *): %v, want ErrNotControllable", err)
+	}
+	if _, err := eng2.Prepare(q, query.NewVarSet("x", "y")); err != nil {
+		t.Fatalf("Prepare {x, y}: %v", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/access"
+	"repro/internal/plan"
 	"repro/internal/query"
 )
 
@@ -32,10 +33,10 @@ type Derivation struct {
 	Rule     Rule
 	F        query.Formula
 	Ctrl     query.VarSet
-	Entry    access.Entry  // RuleAtom: the access entry used
-	OnPos    []int         // RuleAtom: positions (within the atom) of Entry.On
-	Children []*Derivation // rule-dependent subderivations
-	Chase    *ChasePlan    // RuleEmbedded
+	Entry    access.Entry    // RuleAtom: the access entry used
+	OnPos    []int           // RuleAtom: positions (within the atom) of Entry.On
+	Children []*Derivation   // rule-dependent subderivations
+	Chase    *plan.ChaseExec // RuleEmbedded: the chase template Compile copies
 }
 
 // Free returns the free variables of the derived formula.
@@ -113,12 +114,6 @@ func (r *Result) Controls(x query.VarSet) *Derivation {
 		}
 	}
 	return nil
-}
-
-// FullyControlled reports whether the formula is controlled by all of its
-// free variables (the paper's "Q′ is controlled under A").
-func (r *Result) FullyControlled() bool {
-	return r.Controls(r.Formula.FreeVars()) != nil
 }
 
 // Analyze computes the family of minimal controlling sets for f, with a

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/plan"
 	"repro/internal/query"
@@ -53,31 +54,14 @@ func Compile(d *Derivation) plan.Node {
 	}
 }
 
-// compileChase translates an embedded-controllability chase plan into its
-// executable operator.
+// compileChase copies the derivation's chase operator with a fresh Steps
+// slice: Optimize reorders steps, ResolveRoutes writes their Route and
+// AssignOpIDs numbers the node, and none of that may reach the template
+// the analysis (and every later Prepare) shares.
 func compileChase(d *Derivation) plan.Node {
-	cp := d.Chase
-	n := plan.NewChaseExec(d.Ctrl.Clone())
-	n.Atoms = cp.Atoms
-	n.MembershipAtoms = cp.MembershipAtoms
-	n.Free = cp.Free
-	n.EqConsts = cp.EqConsts
-	n.EqVars = cp.EqVars
-	n.Steps = make([]plan.ChaseStep, len(cp.Steps))
-	for i, s := range cp.Steps {
-		n.Steps[i] = plan.ChaseStep{
-			Atom:     s.Atom,
-			AtomIdx:  s.AtomIdx,
-			Entry:    s.Entry,
-			OnPos:    s.OnPos,
-			ProjPos:  s.ProjPos,
-			Binds:    s.Binds,
-			Verifies: s.Verifies,
-			EqL:      s.EqL,
-			EqR:      s.EqR,
-		}
-	}
-	return n
+	n := *d.Chase
+	n.Steps = slices.Clone(d.Chase.Steps)
+	return &n
 }
 
 // compilePlan builds the full physical plan for d against backend b under

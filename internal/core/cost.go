@@ -66,7 +66,7 @@ func CostOf(d *Derivation) Cost {
 	}
 }
 
-func chaseCost(p *ChasePlan) Cost {
+func chaseCost(p *plan.ChaseExec) Cost {
 	cands, reads := int64(1), int64(0)
 	for _, s := range p.Steps {
 		if s.Atom == nil {

@@ -3,69 +3,12 @@ package core
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/access"
+	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/relation"
 )
-
-// ChasePlan is the executable form of an embedded-controllability
-// derivation (Proposition 4.5). For a conjunctive formula
-// ∃z̄ (A1 ∧ ... ∧ Ak ∧ eqs), the plan enumerates candidate bindings for
-// the variables by a sequence of bounded fetches licensed by (possibly
-// embedded) access entries, then verifies every atom.
-//
-// An atom is verified either by a membership probe (all its variables
-// bound) or by one of its own fetch steps when the positions outside the
-// step's X ∪ Y hold only existentially quantified variables that occur
-// nowhere else — those positions are existentially absorbed by the
-// projection π_Y(σ_X=ā(R)), which contains exactly the combinations for
-// which a completion exists.
-type ChasePlan struct {
-	// Atoms of the (equality-free-by-substitution) conjunction.
-	Atoms []*query.Atom
-	// Steps in execution order.
-	Steps []ChaseStep
-	// MembershipAtoms indexes Atoms that require a final membership probe.
-	MembershipAtoms []int
-	// Free is the set of variables whose values the plan outputs.
-	Free query.VarSet
-	// EqConsts binds variables equated to constants before execution.
-	EqConsts map[string]relation.Value
-	// EqVars are variable equalities checked on every candidate after the
-	// steps run (propagation steps bind, these verify).
-	EqVars [][2]string
-}
-
-// ChaseStep is one bounded action of a chase plan.
-type ChaseStep struct {
-	// Fetch step (Atom != nil): retrieve via Entry with values for the
-	// variables/constants at OnPos; unify fetched tuples with ProjPos.
-	Atom    *query.Atom
-	AtomIdx int
-	Entry   access.Entry
-	OnPos   []int // positions (within the atom) of Entry.On
-	ProjPos []int // positions of Entry's effective Y
-	Binds   []string
-	// Verifies marks a fetch that fully verifies its atom (no membership
-	// probe needed).
-	Verifies bool
-	// Equality-propagation step (Atom == nil): bind/check L = R.
-	EqL, EqR string
-}
-
-// String renders the step for Explain output.
-func (s ChaseStep) String() string {
-	if s.Atom == nil {
-		return fmt.Sprintf("propagate %s = %s", s.EqL, s.EqR)
-	}
-	verb := "fetch"
-	if s.Verifies {
-		verb = "fetch+verify"
-	}
-	return fmt.Sprintf("%s %s via %s (binds %s)", verb, s.Atom, s.Entry.String(), strings.Join(s.Binds, ","))
-}
 
 // maxEmbeddedFreeVars bounds the subset search for minimal controlling
 // sets; embedded analysis is skipped for wider formulas.
@@ -107,12 +50,12 @@ func (st *analysisState) embeddedDerivs(f query.Formula) ([]*Derivation, error) 
 					return true // not minimal
 				}
 			}
-			plan, ok := builder.build(x)
+			chase, ok := builder.build(x)
 			if !ok {
 				return true
 			}
 			found = append(found, x)
-			derivs = append(derivs, &Derivation{Rule: RuleEmbedded, F: f, Ctrl: x, Chase: plan})
+			derivs = append(derivs, &Derivation{Rule: RuleEmbedded, F: f, Ctrl: x, Chase: chase})
 			return len(derivs) < st.max
 		})
 		if len(derivs) >= st.max {
@@ -202,7 +145,7 @@ type chaseBuilder struct {
 	eqConsts   map[string]relation.Value
 	eqVars     [][2]string
 	// candidate fetch steps (unordered); build selects and orders them.
-	fetches []ChaseStep
+	fetches []plan.ChaseStep
 	// occurrence count of each variable across atoms (for projection
 	// verification: absorbable variables occur exactly once).
 	occurs map[string]int
@@ -274,7 +217,7 @@ func newChaseBuilder(acc *access.Schema, atoms []*query.Atom, eqs []*query.Eq, f
 			if len(onPos) == rs.Arity() {
 				continue // pure membership entry; handled at verification
 			}
-			b.fetches = append(b.fetches, ChaseStep{
+			b.fetches = append(b.fetches, plan.ChaseStep{
 				Atom: a, AtomIdx: ai, Entry: e, OnPos: onPos, ProjPos: projPos,
 			})
 		}
@@ -282,9 +225,10 @@ func newChaseBuilder(acc *access.Schema, atoms []*query.Atom, eqs []*query.Eq, f
 	return b, nil
 }
 
-// build attempts a chase from the controlling set x; it returns the plan
-// and whether the chase covers the formula.
-func (b *chaseBuilder) build(x query.VarSet) (*ChasePlan, bool) {
+// build attempts a chase from the controlling set x; it returns the chase
+// operator and whether the chase covers the formula. The operator is the
+// derivation's template: Compile hands out copies of it.
+func (b *chaseBuilder) build(x query.VarSet) (*plan.ChaseExec, bool) {
 	if !x.SubsetOf(b.free) {
 		return nil, false
 	}
@@ -292,7 +236,7 @@ func (b *chaseBuilder) build(x query.VarSet) (*ChasePlan, bool) {
 	for v := range b.eqConsts {
 		bound = bound.Add(v)
 	}
-	var steps []ChaseStep
+	var steps []plan.ChaseStep
 	used := make([]bool, len(b.fetches))
 	for {
 		progress := false
@@ -300,7 +244,7 @@ func (b *chaseBuilder) build(x query.VarSet) (*ChasePlan, bool) {
 		for _, ev := range b.eqVars {
 			l, r := ev[0], ev[1]
 			if bound[l] != bound[r] {
-				steps = append(steps, ChaseStep{EqL: l, EqR: r})
+				steps = append(steps, plan.ChaseStep{EqL: l, EqR: r})
 				bound = bound.Add(l).Add(r)
 				progress = true
 			}
@@ -345,25 +289,24 @@ func (b *chaseBuilder) build(x query.VarSet) (*ChasePlan, bool) {
 	}
 	// Verification: atoms with all variables bound get membership probes;
 	// others need a projection-verifying fetch step.
-	plan := &ChasePlan{
-		Atoms:    b.atoms,
-		Steps:    steps,
-		Free:     b.free.Clone(),
-		EqConsts: b.eqConsts,
-		EqVars:   b.eqVars,
-	}
+	chase := plan.NewChaseExec(x.Clone())
+	chase.Atoms = b.atoms
+	chase.Steps = steps
+	chase.Free = b.free.Clone()
+	chase.EqConsts = b.eqConsts
+	chase.EqVars = b.eqVars
 	for ai, a := range b.atoms {
 		unbound := a.FreeVars().Minus(bound)
 		if unbound.IsEmpty() {
 			// A membership probe needs the implicit membership access
 			// method or an explicit whole-key entry.
 			if !b.membershipAllowed(a.Rel) {
-				if !b.markVerifier(plan, ai, bound, unbound) {
+				if !b.markVerifier(chase, ai, bound, unbound) {
 					return nil, false
 				}
 				continue
 			}
-			plan.MembershipAtoms = append(plan.MembershipAtoms, ai)
+			chase.MembershipAtoms = append(chase.MembershipAtoms, ai)
 			continue
 		}
 		// Unbound variables must be absorbable: quantified and occurring
@@ -373,11 +316,11 @@ func (b *chaseBuilder) build(x query.VarSet) (*ChasePlan, bool) {
 				return nil, false
 			}
 		}
-		if !b.markVerifier(plan, ai, bound, unbound) {
+		if !b.markVerifier(chase, ai, bound, unbound) {
 			return nil, false
 		}
 	}
-	return plan, true
+	return chase, true
 }
 
 // membershipAllowed reports whether fully-bound tuples of rel can be
@@ -401,8 +344,8 @@ func (b *chaseBuilder) membershipAllowed(rel string) bool {
 // markVerifier finds (or appends) a fetch step on atom ai whose X ∪ Y
 // covers every position not holding an absorbable unbound variable, and
 // marks it as the atom's verifier.
-func (b *chaseBuilder) markVerifier(plan *ChasePlan, ai int, bound, unbound query.VarSet) bool {
-	qualifies := func(fs ChaseStep) bool {
+func (b *chaseBuilder) markVerifier(chase *plan.ChaseExec, ai int, bound, unbound query.VarSet) bool {
+	qualifies := func(fs plan.ChaseStep) bool {
 		covered := make(map[int]bool, len(fs.OnPos)+len(fs.ProjPos))
 		for _, p := range fs.OnPos {
 			covered[p] = true
@@ -421,8 +364,8 @@ func (b *chaseBuilder) markVerifier(plan *ChasePlan, ai int, bound, unbound quer
 		return true
 	}
 	// Prefer a step already in the plan.
-	for i := range plan.Steps {
-		fs := &plan.Steps[i]
+	for i := range chase.Steps {
+		fs := &chase.Steps[i]
 		if fs.Atom != nil && fs.AtomIdx == ai && qualifies(*fs) {
 			fs.Verifies = true
 			return true
@@ -436,7 +379,7 @@ func (b *chaseBuilder) markVerifier(plan *ChasePlan, ai int, bound, unbound quer
 		step := fs
 		step.Verifies = true
 		step.Binds = nil
-		plan.Steps = append(plan.Steps, step)
+		chase.Steps = append(chase.Steps, step)
 		return true
 	}
 	return false

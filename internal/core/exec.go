@@ -1,59 +1,13 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
 
 	"repro/internal/plan"
 	"repro/internal/query"
-	"repro/internal/store"
 )
-
-// Execution is delegated to the physical operator layer: a derivation
-// compiles (compile.go) into an internal/plan operator tree, and the
-// entry points here are drains over its streaming interpreter. Work —
-// store fetches, membership probes, and therefore TupleReads, budget
-// consumption and witness recording — is charged only as answers are
-// pulled, so a consumer that stops early (Rows with WithLimit, First, a
-// canceled context) stops charging.
-
-// Exec evaluates a controllability derivation against the store, given
-// values (env) for a superset of the derivation's controlling set. It is
-// ExecContext with a background context and no per-call stats: only the
-// store-global counters are charged.
-func Exec(st store.Backend, d *Derivation, env query.Bindings) ([]query.Bindings, error) {
-	return ExecContext(context.Background(), st, d, env, nil)
-}
-
-// ExecContext evaluates a derivation under ctx, charging the work (and
-// recording the witness set) into es. It returns the satisfying bindings,
-// each defined on exactly the free variables of the derived formula. A nil
-// es charges only the store-global counters; a nil ctx is treated as
-// context.Background().
-//
-// The derivation is compiled 1:1 (analysis order; no cost-based
-// reordering) and drained. Callers that can consume answers incrementally
-// (or stop early) should prefer the cursor API (PreparedQuery.Query,
-// Engine.QueryContext), which also caches the compiled — and, by default,
-// cost-optimized — plan instead of recompiling per call.
-func ExecContext(ctx context.Context, st store.Backend, d *Derivation, env query.Bindings, es *store.ExecStats) ([]query.Bindings, error) {
-	if missing := d.Ctrl.Minus(env.Vars()); !missing.IsEmpty() {
-		return nil, fmt.Errorf("core: %w: exec needs values for controlling variables %s", ErrInvalidQuery, missing)
-	}
-	root := Compile(d)
-	plan.ResolveRoutes(root, st)
-	rt := plan.BackendRuntime{Ctx: ctx, B: st, Es: es}
-	var out []query.Bindings
-	for b, err := range root.Stream(rt, env) {
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, b)
-	}
-	return out, nil
-}
 
 // Plan is a compiled bounded evaluation: the controllability derivation
 // it was compiled from, the physical operator tree that executes it, and

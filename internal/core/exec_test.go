@@ -1,14 +1,18 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/eval"
 	"repro/internal/parser"
+	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/relation"
+	"repro/internal/shard"
 	"repro/internal/store"
 )
 
@@ -154,6 +158,65 @@ func TestBoundedEvalQ3Embedded(t *testing.T) {
 	}
 }
 
+// TestCompileIsolatesChaseTemplate: compiling an embedded derivation
+// copies its chase operator, so the plan-time rewrites of one compiled
+// plan (step reorder, shard routes, operator IDs) never reach the
+// derivation or a later compile of it.
+func TestCompileIsolatesChaseTemplate(t *testing.T) {
+	cat := mustCatalog(t, embeddedCatalog)
+	st := buildSocial(t, cat, 40, 4, 12, 3)
+	sh, err := shard.Open(st.Data(), cat.Access, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := mustQ(t, `Q3(rn, p, yy) := exists id, rid, pn, mm, dd (friend(p, id) and visit(id, rid, yy, mm, dd) and person(id, pn, 'NYC') and restr(rid, rn, 'NYC', 'A'))`)
+	d, err := NewEngine(sh).Controllable(q, query.NewVarSet("p", "yy"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Rule != RuleEmbedded {
+		t.Fatalf("Q3 derivation rule %s, want %s", d.Rule, RuleEmbedded)
+	}
+	var order []string
+	for _, s := range d.Chase.Steps {
+		order = append(order, s.String())
+	}
+	explain := d.Explain()
+
+	routed, ok := compilePlan(d, sh, OptimizerStats).Root.(*plan.ChaseExec)
+	if !ok {
+		t.Fatal("routed plan root is not a ChaseExec")
+	}
+	resolved := 0
+	for _, s := range routed.Steps {
+		if s.Atom != nil && s.Route.Kind != store.RouteAuto {
+			resolved++
+		}
+	}
+	if resolved == 0 {
+		t.Fatal("no chase step got a route on the sharded backend; the test checks nothing")
+	}
+
+	bare, ok := compilePlan(d, nil, OptimizerOff).Root.(*plan.ChaseExec)
+	if !ok {
+		t.Fatal("bare plan root is not a ChaseExec")
+	}
+	if len(bare.Steps) != len(order) {
+		t.Fatalf("bare plan has %d steps, analysis %d", len(bare.Steps), len(order))
+	}
+	for i, s := range bare.Steps {
+		if s.Route.Kind != store.RouteAuto {
+			t.Errorf("step %d (%s): route %s leaked from the routed compile", i, s, s.Route.Kind)
+		}
+		if s.String() != order[i] {
+			t.Errorf("step %d = %s, want analysis-order %s", i, s, order[i])
+		}
+	}
+	if got := d.Explain(); got != explain {
+		t.Fatalf("derivation changed by compiling:\nbefore:\n%s\nafter:\n%s", explain, got)
+	}
+}
+
 func TestExecDisjunction(t *testing.T) {
 	cat := mustCatalog(t, `
 relation R(a, b)
@@ -250,13 +313,13 @@ func TestExecRequiresControllingValues(t *testing.T) {
 	if _, err := eng.Answer(q, query.Bindings{"name": relation.Str("p1")}); err == nil {
 		t.Fatal("Answer without controlling values accepted")
 	}
-	// Exec directly with missing controlling variable must fail loudly.
-	d, err := eng.Controllable(q, query.NewVarSet("p"))
+	// A prepared query run without its controlling value must fail loudly.
+	p, err := eng.Prepare(q, query.NewVarSet("p"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Exec(st, d, query.Bindings{}); err == nil {
-		t.Fatal("Exec without controlling binding accepted")
+	if _, err := p.Query(context.Background(), query.Bindings{}); !errors.Is(err, ErrInvalidQuery) {
+		t.Fatalf("Query without controlling binding: %v, want ErrInvalidQuery", err)
 	}
 }
 

@@ -277,7 +277,7 @@ func (l *Live) Close() error {
 // between commits:
 //
 //	for d, err := range live.Deltas() {
-//	    if err != nil { ... } // terminal: canceled, over budget, slow consumer
+//	    if err != nil { ... } // terminal: canceled or over budget
 //	    apply(d.Ins, d.Del)
 //	}
 //

@@ -251,10 +251,6 @@ func collectRels(f query.Formula, out map[string]bool) {
 // Head returns the full (eq-eliminated) head terms.
 func (m *Maintainer) Head() []query.Term { return m.head }
 
-// Remaining returns the head terms not fixed by ā — the attributes of the
-// maintained answer tuples, matching PreparedQuery.Exec output.
-func (m *Maintainer) Remaining() []query.Term { return m.rem }
-
 // Expand rebuilds the full head tuple from a maintained (remaining-head)
 // tuple by re-inserting the fixed values.
 func (m *Maintainer) Expand(t relation.Tuple) relation.Tuple {
@@ -479,7 +475,7 @@ func (m *Maintainer) resync(ctx context.Context, es *store.ExecStats) (ins, del 
 	rt := plan.BackendRuntime{Ctx: ctx, B: m.eng.DB, Es: es}
 	head := remainingHead(m.reexec.q.Head, m.fixed)
 	got := relation.NewTupleSet(m.answers.Len())
-	for t, err := range projectSeq(m.reexec.plan.Root.Stream(rt, m.fixed), head, m.fixed, m.reexec.q.Name) {
+	for t, err := range projectSeq(m.reexec.plan.Root.Stream(rt, m.fixed), head, m.reexec.q.Name) {
 		if err != nil {
 			return nil, nil, err
 		}

@@ -112,7 +112,7 @@ type sourceRuntime struct{ src Source }
 
 // Fetch implements plan.Runtime; unreachable for naive plans.
 func (rt sourceRuntime) Fetch(_ int, e access.Entry, vals []relation.Value, r store.FetchRoute) ([]relation.Tuple, error) {
-	return nil, fmt.Errorf("eval: indexed fetch %s in a naive plan", e.Rel)
+	return nil, fmt.Errorf("eval: %w: indexed fetch %s in a naive plan", plan.ErrUnsupportedAccess, e.Rel)
 }
 
 // Member implements plan.Runtime.

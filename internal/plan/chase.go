@@ -56,6 +56,16 @@ func (s ChaseStep) String() string {
 // fetch is considered, so the first answer surfaces after one
 // root-to-leaf pass instead of after every step has run over every
 // candidate.
+//
+// An atom is verified either by a membership probe (all its variables
+// bound) or by one of its own fetch steps when the positions outside the
+// step's X ∪ Y hold only existentially quantified variables that occur
+// nowhere else: the projection π_Y(σ_X=ā(R)) absorbs them, holding
+// exactly the combinations for which a completion exists.
+//
+// The analyzer's embedded-controllability derivations carry a ChaseExec
+// as their chase template; compiling a derivation copies it, so plan-time
+// rewrites of one compiled plan never reach another.
 type ChaseExec struct {
 	opID
 	// Atoms of the (equality-free-by-substitution) conjunction.

@@ -41,6 +41,7 @@ package plan
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"iter"
 	"math"
@@ -50,6 +51,11 @@ import (
 	"repro/internal/relation"
 	"repro/internal/store"
 )
+
+// ErrUnsupportedAccess reports an operator whose data access the runtime
+// it runs under does not serve: a full scan under BackendRuntime, or an
+// indexed fetch under the naive evaluator's runtime.
+var ErrUnsupportedAccess = errors.New("access not served by this runtime")
 
 // Seq streams the satisfying bindings of an operator. At most one non-nil
 // error is yielded, as the final element; a binding element always has a
@@ -124,40 +130,12 @@ func (rt BackendRuntime) Member(op int, rel string, t relation.Tuple) (bool, err
 	return rt.B.MembershipInto(rt.Es, rel, t)
 }
 
-// Scan implements Runtime: the streaming path charges chunk by chunk via
-// store.ScanSeq; the materialized path is one counted ScanInto.
-func (rt BackendRuntime) Scan(op int, rel string, stream bool) iter.Seq2[relation.Tuple, error] {
-	rt.pin(op)
-	if stream {
-		inner := store.ScanSeq(rt.B, rt.Es, rel)
-		if rt.Es == nil || rt.Es.Ops == nil {
-			return inner
-		}
-		// A streaming scan charges lazily, interleaved with whatever other
-		// operators run between pulls: re-pin attribution every time
-		// control returns to the scan so its deferred charges land on the
-		// scanning operator, not on whichever operator ran last.
-		return func(yield func(relation.Tuple, error) bool) {
-			rt.pin(op)
-			inner(func(t relation.Tuple, err error) bool {
-				ok := yield(t, err)
-				rt.pin(op)
-				return ok
-			})
-		}
-	}
+// Scan implements Runtime: a bounded plan has no full scans, so a
+// NaiveScan run here fails with ErrUnsupportedAccess. The naive evaluator
+// runs its scans under its own runtime (eval).
+func (rt BackendRuntime) Scan(_ int, rel string, _ bool) iter.Seq2[relation.Tuple, error] {
 	return func(yield func(relation.Tuple, error) bool) {
-		rt.pin(op)
-		ts, err := rt.B.ScanInto(rt.Es, rel)
-		if err != nil {
-			yield(nil, err)
-			return
-		}
-		for _, t := range ts {
-			if !yield(t, nil) {
-				return
-			}
-		}
+		yield(nil, fmt.Errorf("plan: %w: full scan of %s under a backend runtime", ErrUnsupportedAccess, rel))
 	}
 }
 
@@ -323,16 +301,6 @@ func Restrict(env query.Bindings, vars query.VarSet) query.Bindings {
 		}
 	}
 	return out
-}
-
-// BindingKey canonically encodes a binding over the given sorted variable
-// list for deduplication.
-func BindingKey(b query.Bindings, sortedVars []string) string {
-	t := make(relation.Tuple, len(sortedVars))
-	for i, v := range sortedVars {
-		t[i] = b[v]
-	}
-	return t.Key()
 }
 
 // restrictMerged builds the binding over vars, taking each variable from

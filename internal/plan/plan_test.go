@@ -9,6 +9,7 @@ package plan_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -187,6 +188,21 @@ func TestPlannedFetchEquivalence(t *testing.T) {
 		if len(a) != len(b) || esAuto.Counters != esPlanned.Counters {
 			t.Fatalf("%s: planned fetch diverges: %d/%d tuples, %+v vs %+v", e.String(), len(a), len(b), esAuto.Counters, esPlanned.Counters)
 		}
+	}
+	// A full scan is no bounded access: the backend runtime refuses it
+	// with a typed error and charges nothing.
+	es := &store.ExecStats{}
+	rt := plan.BackendRuntime{Ctx: context.Background(), B: st, Es: es}
+	scan := plan.NewNaiveScan(query.NewAtom("friend", query.Var("a"), query.Var("b")), true)
+	var scanErr error
+	for _, err := range scan.Stream(rt, query.Bindings{}) {
+		scanErr = err
+	}
+	if !errors.Is(scanErr, plan.ErrUnsupportedAccess) {
+		t.Fatalf("NaiveScan under BackendRuntime: %v, want ErrUnsupportedAccess", scanErr)
+	}
+	if es.Counters != (store.Counters{}) {
+		t.Fatalf("refused scan charged %+v", es.Counters)
 	}
 }
 

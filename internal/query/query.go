@@ -54,9 +54,6 @@ func (q *Query) Validate() error {
 // IsBoolean reports whether the query is a sentence.
 func (q *Query) IsBoolean() bool { return len(q.Head) == 0 }
 
-// HeadSet returns the head variables as a set.
-func (q *Query) HeadSet() VarSet { return NewVarSet(q.Head...) }
-
 // Fix returns the query Q(ā, ȳ): the head variables bound in b are
 // substituted by their values and removed from the head. The remaining head
 // keeps its order. The name is preserved.

@@ -305,9 +305,6 @@ func (j *Join) isExpr() {}
 // Attrs implements Expr.
 func (j *Join) Attrs() []string { return j.attrs }
 
-// Shared returns the join attributes.
-func (j *Join) Shared() []string { return j.shared }
-
 func (j *Join) String() string { return fmt.Sprintf("(%s ⋈ %s)", j.L, j.R) }
 
 func attrSet(attrs []string) map[string]bool {
